@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .model import (
     DELETE,
@@ -23,80 +23,88 @@ from .model import (
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
 
 
-@dataclass
-class Rejection:
-    step: int
-    reason: str
-    clause: SourceClause
-    pivot: int | None = None
-    failed_resolvent: tuple[int, ...] | None = None
-
-
 class CheckerState:
     """Mutable checking state: the evolving formula plus propagation structures.
 
-    Clauses of length >= 2 carry two watched literals; unit clauses live in
-    a separate counter, and copies of the empty clause short-circuit every
-    propagation into a conflict. Duplicate clause copies share one watch
-    entry since propagation cannot distinguish them.
+    Variables are renumbered densely in the order they are first seen, and a
+    literal of the i-th variable is held as the code 2i (positive) or 2i+1
+    (negative), so negation is ``code ^ 1`` and every per-literal structure
+    is a list indexed by code. Memory thus follows the number of distinct
+    variables, not the largest literal value.
+
+    ``formula`` counts clause copies. Each distinct non-empty clause gets
+    one id while at least one copy is present; duplicate copies share it,
+    since propagation cannot tell them apart. An id holds the canonical
+    tuple, used for RAT candidates and trace text, and a code list whose two
+    watched literals sit in positions 0 and 1. Unit clauses are never
+    watched, as unit deletions are ignored: their codes are asserted at the
+    start of every propagation. Copies of the empty clause turn every
+    propagation into a conflict.
     """
 
     def __init__(self, formula: Formula, trace=None):
         self.formula = formula.copy()
         self.trace = trace
-        self._values = [UNASSIGNED] * (self.formula.max_variable() + 1)
+        self._code: dict[int, int] = {}  # signed literal -> code
+        self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
+        self._watches: list[list[int]] = []  # by code: ids watching it
+        self._occurs: list[list[int]] = []  # by code: ids containing it, oldest first
+        self._clauses: list[tuple[int, ...] | None] = []  # by id: canonical clause
+        self._lits: list[list[int] | None] = []  # by id: codes, watches first
+        self._ids: dict[tuple[int, ...], int] = {}  # canonical clause -> id
+        self._units: list[int] = []
         self._trail: list[int] = []
-        self._watched: dict[tuple[int, ...], list[int]] = {}
-        self._watchlist: dict[int, list[tuple[int, ...]]] = {}
-        self._units: dict[int, int] = {}
-        self._empty_copies = 0
-        for clause, count in self.formula.clause_counts().items():
-            self._attach(clause, count)
+        counts = self.formula.clause_counts()
+        self._empty_copies = counts.pop((), 0)
+        self._number(chain.from_iterable(counts))
+        self._attach(counts)
 
     # -- clause bookkeeping ------------------------------------------------
 
-    def _attach(self, clause: tuple[int, ...], copies: int = 1) -> None:
-        if len(clause) == 0:
-            self._empty_copies += copies
-        elif len(clause) == 1:
-            lit = clause[0]
-            self._units[lit] = self._units.get(lit, 0) + copies
-            self._ensure_var(abs(lit))
-        elif clause not in self._watched:
-            a, b = clause[0], clause[1]
-            self._watched[clause] = [a, b]
-            self._watchlist.setdefault(a, []).append(clause)
-            self._watchlist.setdefault(b, []).append(clause)
-            for lit in clause:
-                self._ensure_var(abs(lit))
+    def _number(self, literals) -> None:
+        """Give each variable not seen before its two codes."""
+        code = self._code
+        for lit in literals:
+            if lit not in code:
+                first = len(self._values)
+                code[abs(lit)], code[-abs(lit)] = first, first + 1
+                self._values += (UNASSIGNED, UNASSIGNED)
+                self._watches += ([], [])
+                self._occurs += ([], [])
+
+    def _codes(self, literals) -> list[int]:
+        self._number(literals)
+        return [self._code[lit] for lit in literals]
+
+    def _attach(self, clauses) -> None:
+        # each clause is non-empty, has numbered variables and just gained its first copy
+        code, ids, occurs, watches = self._code, self._ids, self._occurs, self._watches
+        for clause in clauses:
+            cid = len(self._clauses)
+            codes = [code[lit] for lit in clause][:]  # a slice is allocated at its exact size
+            ids[clause] = cid
+            self._clauses.append(clause)
+            self._lits.append(codes)
+            for c in codes:
+                occurs[c].append(cid)
+            if len(codes) == 1:
+                self._units.append(codes[0])
+            else:
+                watches[codes[0]].append(cid)
+                watches[codes[1]].append(cid)
 
     def _detach_copy(self, clause: tuple[int, ...]) -> None:
         # one copy was removed from the formula; length-1 clauses never reach here
         if len(clause) == 0:
             self._empty_copies -= 1
-        elif self.formula.count(clause) == 0 and clause in self._watched:
-            a, b = self._watched.pop(clause)
-            self._watchlist[a].remove(clause)
-            self._watchlist[b].remove(clause)
-
-    def _ensure_var(self, var: int) -> None:
-        if var >= len(self._values):
-            self._values.extend([UNASSIGNED] * (var + 1 - len(self._values)))
-
-    # -- assignment --------------------------------------------------------
-
-    def _value(self, lit: int) -> int:
-        v = self._values[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _assign(self, lit: int) -> None:
-        self._values[abs(lit)] = TRUE if lit > 0 else FALSE
-        self._trail.append(lit)
-
-    def _undo_all(self) -> None:
-        for lit in self._trail:
-            self._values[abs(lit)] = UNASSIGNED
-        self._trail.clear()
+        elif self.formula.count(clause) == 0:
+            cid = self._ids.pop(clause)
+            codes = self._lits[cid]
+            for code in codes:
+                self._occurs[code].remove(cid)
+            self._watches[codes[0]].remove(cid)
+            self._watches[codes[1]].remove(cid)
+            self._clauses[cid] = self._lits[cid] = None
 
     # -- unit propagation ----------------------------------------------------
 
@@ -107,71 +115,70 @@ class CheckerState:
         observable effect on the state. Contradictory assumptions count as
         a conflict.
         """
-        for lit in assumptions:
-            self._ensure_var(abs(lit))
-        conflict = False
+        return self._conflict(self._codes(assumptions))
+
+    def _conflict(self, assumed: list[int]) -> bool:
         if self._empty_copies:
-            conflict = True
-        else:
-            for lit in assumptions:
-                v = self._value(lit)
-                if v == FALSE:
-                    conflict = True
-                    break
-                if v == UNASSIGNED:
-                    self._assign(lit)
-            if not conflict:
-                for lit in self._units:
-                    v = self._value(lit)
-                    if v == FALSE:
-                        conflict = True
-                        break
-                    if v == UNASSIGNED:
-                        self._assign(lit)
+            return True
+        values, trail = self._values, self._trail
+        conflict = False
+        for code in assumed + self._units:
+            value = values[code]
+            if value == FALSE:
+                conflict = True
+                break
+            if value == UNASSIGNED:
+                values[code], values[code ^ 1] = TRUE, FALSE
+                trail.append(code)
         if not conflict:
             conflict = self._propagate_watches()
-        self._undo_all()
+        for code in trail:
+            values[code] = values[code ^ 1] = UNASSIGNED
+        trail.clear()
         return conflict
 
     def _propagate_watches(self) -> bool:
-        trail = self._trail
-        watched = self._watched
-        watchlist = self._watchlist
-        head = 0
-        while head < len(trail):
-            falsified = -trail[head]
-            head += 1
-            watchers = watchlist.get(falsified)
+        values, trail, watches, lits_of = self._values, self._trail, self._watches, self._lits
+        for assigned in trail:  # also visits the codes appended below
+            falsified = assigned ^ 1
+            watchers = watches[falsified]
             if not watchers:
                 continue
-            kept: list[tuple[int, ...]] = []
-            for index, clause in enumerate(watchers):
-                pair = watched[clause]
-                other = pair[0] if pair[1] == falsified else pair[1]
-                if self._value(other) == TRUE:
-                    kept.append(clause)
+            kept: list[int] = []
+            for cid in watchers:
+                lits = lits_of[cid]
+                other = lits[0]
+                if other == falsified:
+                    # swapping stored objects keeps the code lists sharing
+                    # the ints held in _code, where a fresh int would not
+                    other = lits[1]
+                    lits[0], lits[1] = other, lits[0]
+                if values[other] == TRUE:
+                    kept.append(cid)
                     continue
-                for lit in clause:
-                    if lit != other and lit != falsified and self._value(lit) != FALSE:
+                for k in range(2, len(lits)):
+                    lit = lits[k]
+                    if values[lit] != FALSE:
                         # move this watch from the falsified literal to lit
-                        pair[0 if pair[0] == falsified else 1] = lit
-                        watchlist.setdefault(lit, []).append(clause)
+                        lits[1], lits[k] = lit, lits[1]
+                        watches[lit].append(cid)
                         break
                 else:
-                    kept.append(clause)
-                    if self._value(other) == FALSE:
-                        kept.extend(watchers[index + 1 :])
-                        watchlist[falsified] = kept
+                    kept.append(cid)
+                    if values[other] == FALSE:
+                        kept += watchers[watchers.index(cid) + 1 :]
+                        watches[falsified] = kept
                         return True
-                    self._assign(other)
-            watchlist[falsified] = kept
+                    values[other], values[other ^ 1] = TRUE, FALSE
+                    trail.append(other)
+            watches[falsified] = kept
         return False
 
     # -- redundancy checks ---------------------------------------------------
 
     def check_at(self, literals) -> bool:
         """Does propagating the clause's negation yield a conflict?"""
-        return self.propagate([-lit for lit in literals])
+        return self._conflict([code ^ 1 for code in self._codes(literals)])
 
     def check_rat(self, clause: SourceClause):
         """AT check first, then resolvents on the first written literal.
@@ -180,80 +187,80 @@ class CheckerState:
         are None unless the resolvent stage ran and failed.
         """
         if self.check_at(clause.canonical):
-            self._note("AT check passed for %s" % format_clause(clause.literals))
+            self._note("AT check passed for %s", clause.literals)
             return True, None, None
         pivot = clause.literals[0]
-        self._note(
-            "AT failed for %s; RAT check with pivot %d"
-            % (format_clause(clause.literals), pivot)
-        )
+        self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
         own = set(clause.canonical)
-        for other in self.formula.clauses_with(-pivot):
+        for cid in self._occurs[self._code[-pivot]]:
+            other = self._clauses[cid]
             rest = [lit for lit in other if lit != -pivot]
             if any(-lit in own for lit in rest):
-                self._note(
-                    "resolvent with %s is a tautology, trivially redundant"
-                    % format_clause(other)
-                )
+                self._note("resolvent with %s is a tautology, trivially redundant", other)
                 continue
             resolvent = tuple(clause.literals) + tuple(
                 lit for lit in rest if lit not in own
             )
             if self.check_at(resolvent):
-                self._note(
-                    "resolvent %s (with %s): AT passed"
-                    % (format_clause(resolvent), format_clause(other))
-                )
+                self._note("resolvent %s (with %s): AT passed", resolvent, other)
             else:
-                self._note(
-                    "resolvent %s (with %s): AT failed"
-                    % (format_clause(resolvent), format_clause(other))
-                )
+                self._note("resolvent %s (with %s): AT failed", resolvent, other)
                 return False, pivot, resolvent
         return True, pivot, None
 
     # -- proof steps -----------------------------------------------------------
 
-    def apply_add(self, clause: SourceClause, step: int) -> Rejection | None:
-        """Check and add one clause; returns a Rejection instead of adding on failure."""
+    def apply_add(self, clause: SourceClause, step: int) -> CheckReport | None:
+        """Check and add one clause; on failure returns the rejecting report instead."""
         if not clause.canonical:
             if not self.check_at(()):
-                return Rejection(step, "empty clause not AT", clause)
+                return CheckReport(REJECTED, step=step, reason="empty clause not AT", clause=clause)
             self._note("empty clause has AT")
+            self._empty_copies += 1
         else:
             ok, pivot, resolvent = self.check_rat(clause)
             if not ok:
-                return Rejection(step, "RAT check failed", clause, pivot, resolvent)
+                return CheckReport(
+                    REJECTED,
+                    step=step,
+                    reason="RAT check failed",
+                    clause=clause,
+                    pivot=pivot,
+                    failed_resolvent=resolvent,
+                )
+            if clause.canonical not in self._ids:
+                self._attach([clause.canonical])
         self.formula.add_clause(clause.canonical)
-        self._attach(clause.canonical)
         return None
 
     def apply_delete(self, clause: SourceClause, step: int) -> DeletionWarning | None:
         """Delete one copy; unit deletions and missing clauses warn instead."""
         canonical = clause.canonical
         if len(canonical) == 1:
-            self._note("delete %s: unit clause, ignored" % format_clause(clause.literals))
+            self._note("delete %s: unit clause, ignored", clause.literals)
             return DeletionWarning(step, WARN_UNIT_DELETION, clause)
         if not self.formula.remove_clause(canonical):
-            self._note("delete %s: not in formula, ignored" % format_clause(clause.literals))
+            self._note("delete %s: not in formula, ignored", clause.literals)
             return DeletionWarning(step, WARN_DELETED_MISSING, clause)
-        if self.formula.count(canonical) == 0:
-            self._detach(canonical)
+        self._detach_copy(canonical)
         if clause.literals != canonical:
             self._note(
-                "delete %s: matched stored clause %s up to literal order"
-                % (format_clause(clause.literals), format_clause(canonical))
+                "delete %s: matched stored clause %s up to literal order",
+                clause.literals,
+                canonical,
             )
         else:
-            self._note("delete %s: removed one copy" % format_clause(clause.literals))
+            self._note("delete %s: removed one copy", clause.literals)
         return None
 
     def clause_counts(self):
         return self.formula.clause_counts()
 
-    def _note(self, message: str) -> None:
+    def _note(self, message: str, *args) -> None:
+        """Trace message % args, with tuple args written as clauses; the
+        string is only built when someone is listening."""
         if self.trace is not None:
-            self.trace(message)
+            self.trace(message % tuple(format_clause(a) if isinstance(a, tuple) else a for a in args))
 
 
 def propagate(formula: Formula, assumptions=()) -> bool:
@@ -295,15 +302,8 @@ def check_proof(formula: Formula, proof: Proof, trace=None) -> CheckReport:
             continue
         rejection = state.apply_add(step.clause, index)
         if rejection is not None:
-            return CheckReport(
-                REJECTED,
-                warnings=warnings,
-                step=index,
-                reason=rejection.reason,
-                clause=rejection.clause,
-                pivot=rejection.pivot,
-                failed_resolvent=rejection.failed_resolvent,
-            )
+            rejection.warnings = warnings
+            return rejection
         if not step.clause.canonical:
             return CheckReport(VERIFIED, warnings=warnings, step=index)
     return CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)

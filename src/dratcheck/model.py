@@ -89,18 +89,15 @@ def format_clause(literals) -> str:
 
 
 class Formula:
-    """A multiset of canonical clauses with a literal occurrence index.
+    """A multiset of canonical clauses.
 
-    Duplicate clauses are distinct copies; deletion removes one copy. The
-    occurrence index maps each literal to the distinct clauses containing
-    it and is kept consistent on every mutation.
+    Duplicate clauses are distinct copies; deletion removes one copy.
     """
 
     def __init__(self, declared_vars: int = 0, declared_clauses: int = 0):
         self.declared_vars = declared_vars
         self.declared_clauses = declared_clauses
         self._counts: dict[tuple[int, ...], int] = {}
-        self._occ: dict[int, dict[tuple[int, ...], None]] = {}
         self._size = 0
         self._max_var = 0
 
@@ -114,12 +111,8 @@ class Formula:
         return formula
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
-        count = self._counts.get(clause, 0)
-        self._counts[clause] = count + 1
+        self._counts[clause] = self._counts.get(clause, 0) + 1
         self._size += 1
-        if count == 0:
-            for lit in clause:
-                self._occ.setdefault(lit, {})[clause] = None
         for lit in clause:
             if abs(lit) > self._max_var:
                 self._max_var = abs(lit)
@@ -131,8 +124,6 @@ class Formula:
             return False
         if count == 1:
             del self._counts[clause]
-            for lit in clause:
-                del self._occ[lit][clause]
         else:
             self._counts[clause] = count - 1
         self._size -= 1
@@ -161,7 +152,7 @@ class Formula:
 
     def clauses_with(self, lit: int):
         """Distinct clauses containing lit, in insertion order."""
-        return list(self._occ.get(lit, ()))
+        return [clause for clause in self._counts if lit in clause]
 
     def max_variable(self) -> int:
         return self._max_var
@@ -169,7 +160,6 @@ class Formula:
     def copy(self) -> "Formula":
         other = Formula(self.declared_vars, self.declared_clauses)
         other._counts = dict(self._counts)
-        other._occ = {lit: dict(clauses) for lit, clauses in self._occ.items()}
         other._size = self._size
         other._max_var = self._max_var
         return other

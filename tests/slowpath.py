@@ -60,3 +60,33 @@ def check_rat_naive(clauses, candidate):
         if not check_at_naive(clauses, resolvent):
             return False
     return True
+
+
+def replay_naive(clauses, steps):
+    """Forward DRAT replay by the definition, on a plain list of clause copies.
+
+    steps are (kind, literals) pairs, kind "a" (add) or "d" (delete).
+    Returns (verdict, step, warned): verdict is "verified", "rejected" or
+    "no-empty-clause", step the 1-based step that decided it (None when no
+    step did), warned the steps whose deletion was ignored. A deletion
+    removes one copy with the same literal set; deletions of units and of
+    absent clauses are ignored. An addition must be RAT on its first written
+    literal, the empty clause AT; the first accepted empty clause verifies.
+    """
+    database = [tuple(c) for c in clauses]
+    warned = []
+    for index, (kind, literals) in enumerate(steps, start=1):
+        literals = tuple(literals)
+        if kind == "d":
+            match = next((i for i, c in enumerate(database) if set(c) == set(literals)), None)
+            if len(literals) == 1 or match is None:
+                warned.append(index)
+            else:
+                del database[match]
+        elif not check_rat_naive(database, literals):
+            return "rejected", index, warned
+        elif not literals:
+            return "verified", index, warned
+        else:
+            database.append(literals)
+    return "no-empty-clause", None, warned

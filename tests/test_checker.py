@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +20,15 @@ from dratcheck import (
     check_rat,
     delete_step,
     normalize_clause,
+    parse_dimacs,
+    parse_plain_proof,
     propagate,
 )
+from dratcheck import checker as checker_module
 from dratcheck.oracle import brute_force_sat
 
-from conftest import PAPER_CLAUSES, random_clause_list, refutation_steps
-from slowpath import check_rat_naive, propagate_naive
+from conftest import PAPER_CLAUSES, random_clause_lits, random_clause_list, refutation_steps
+from slowpath import check_rat_naive, propagate_naive, replay_naive
 
 
 def paper_f0():
@@ -309,6 +314,85 @@ def test_tree_proofs_of_random_unsat_formulas_verify():
         assert not brute_force_sat(clauses).satisfiable
         verified += 1
     assert verified >= 20
+
+
+def test_deleting_each_empty_clause_copy_restores_propagation():
+    # each deletion removes one of the two empty-clause copies; once both
+    # are gone, (-2) is neither AT nor RAT
+    formula = Formula.from_clauses([[], [], [1, 2], [-1, 2]])
+    proof = Proof([delete_step([]), delete_step([]), add_step([-2])])
+    report = check_proof(formula, proof)
+    assert report.verdict == REJECTED
+    assert report.step == 3
+
+
+def test_trace_text_is_only_built_for_a_listener(monkeypatch, paper_formula, paper_proof):
+    def refuse(literals):
+        raise AssertionError("trace text built without a listener")
+
+    monkeypatch.setattr(checker_module, "format_clause", refuse)
+    assert check_proof(paper_formula, paper_proof).verdict == VERIFIED
+
+
+@pytest.mark.parametrize("line", [b"10000000 0\n", b"2147483647 0\n", b"3 -2147483647 0\n"])
+def test_checker_memory_does_not_grow_with_literal_values(line):
+    formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    proof = parse_plain_proof(line)
+    tracemalloc.start()
+    try:
+        report = check_proof(formula, proof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lemma is RAT vacuously: no clause holds its negated pivot
+    assert report.verdict == NO_EMPTY_CLAUSE
+    assert peak < 2**20
+
+
+def random_replay_case(rng):
+    """A small formula and a proof mixing a refutation (when the formula has
+    one) with deletions of present, reordered, absent, unit and empty
+    clauses, duplicate and empty additions, and additions over variables
+    the formula lacks, up to the 31-bit limit."""
+    clauses = random_clause_list(rng, rng.randint(0, 12), max_var=5, min_len=1, max_len=3)
+    clauses += [()] * rng.choice((0, 0, 0, 0, 1, 2))
+    lemmas = refutation_steps([c for c in clauses if c], rng) or []
+    pool = list(clauses)
+    steps = []
+    for _ in range(rng.randint(0, 14)):
+        roll = rng.random()
+        if lemmas and roll < 0.35:
+            lits = lemmas.pop(0)
+        elif roll < 0.5:
+            lits = random_clause_lits(rng, max_var=7, min_len=0, max_len=3)
+        elif roll < 0.55:
+            lits = (rng.choice((-1, 1)) * rng.choice((9, 10**7, 2**31 - 1)), 1)
+        elif roll < 0.65 and pool:
+            lits = rng.choice(pool)  # a duplicate copy
+        else:
+            if pool and roll < 0.9:
+                source = rng.choice(pool)
+            else:
+                source = random_clause_lits(rng, max_var=6, min_len=0, max_len=3)
+            steps.append(("d", tuple(rng.sample(source, len(source)))))
+            continue
+        steps.append(("a", tuple(lits)))
+        pool.append(tuple(lits))
+    return clauses, steps + [("a", lits) for lits in lemmas]
+
+
+def test_whole_proofs_agree_with_the_slow_path_replay():
+    rng = random.Random(59)
+    seen = {}
+    for _ in range(400):
+        clauses, steps = random_replay_case(rng)
+        proof = Proof([(delete_step if kind == "d" else add_step)(lits) for kind, lits in steps])
+        report = check_proof(Formula.from_clauses(clauses), proof)
+        verdict, step, warned = replay_naive(clauses, steps)
+        assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
+        assert [w.step for w in report.warnings] == warned
+        seen[verdict] = seen.get(verdict, 0) + 1
+    assert min(seen.get(v, 0) for v in (VERIFIED, REJECTED, NO_EMPTY_CLAUSE)) >= 40
 
 
 small_formula = st.lists(
