@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .model import (
     DELETE,
     NO_EMPTY_CLAUSE,
@@ -21,6 +19,17 @@ from .model import (
 )
 
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
+
+
+class _Codes(dict):
+    """A dict that returns new(key) for a key it does not hold yet."""
+
+    def __init__(self, new):
+        super().__init__()
+        self.new = new
+
+    def __missing__(self, key):
+        return self.new(key)
 
 
 class CheckerState:
@@ -45,53 +54,66 @@ class CheckerState:
     def __init__(self, formula: Formula, trace=None):
         self.formula = formula.copy()
         self.trace = trace
-        self._code: dict[int, int] = {}  # signed literal -> code
+        self._code = _Codes(self._new_variable)  # signed literal -> code
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[int]] = []  # by code: ids watching it
-        self._occurs: list[list[int]] = []  # by code: ids containing it, oldest first
+        # by code: ids containing it, oldest first; built by the first RAT stage
+        self._occurs: list[list[int]] | None = None
         self._clauses: list[tuple[int, ...] | None] = []  # by id: canonical clause
         self._lits: list[list[int] | None] = []  # by id: codes, watches first
         self._ids: dict[tuple[int, ...], int] = {}  # canonical clause -> id
         self._units: list[int] = []
         self._trail: list[int] = []
-        counts = self.formula.clause_counts()
-        self._empty_copies = counts.pop((), 0)
-        self._number(chain.from_iterable(counts))
+        counts = self.formula._counts
+        self._empty_copies = counts.get((), 0)
         self._attach(counts)
 
     # -- clause bookkeeping ------------------------------------------------
 
-    def _number(self, literals) -> None:
-        """Give each variable not seen before its two codes."""
-        code = self._code
-        for lit in literals:
-            if lit not in code:
-                first = len(self._values)
-                code[abs(lit)], code[-abs(lit)] = first, first + 1
-                self._values += (UNASSIGNED, UNASSIGNED)
-                self._watches += ([], [])
-                self._occurs += ([], [])
+    def _new_variable(self, lit: int) -> int:
+        """Give the variable of lit, seen for the first time, its two codes."""
+        first = len(self._values)
+        self._code[abs(lit)], self._code[-abs(lit)] = first, first + 1
+        self._values += (UNASSIGNED, UNASSIGNED)
+        self._watches += ([], [])
+        if self._occurs is not None:
+            self._occurs += ([], [])
+        return self._code[lit]
 
     def _codes(self, literals) -> list[int]:
-        self._number(literals)
-        return [self._code[lit] for lit in literals]
+        return [*map(self._code.__getitem__, literals)]
 
     def _attach(self, clauses) -> None:
-        # each clause is non-empty, has numbered variables and just gained its first copy
-        code, ids, occurs, watches = self._code, self._ids, self._occurs, self._watches
+        # each clause has just gained its first copy; the empty clause is skipped
+        ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
+        add_clause, add_codes = self._clauses.append, self._lits.append
+        code_of = self._code.__getitem__
+        cid = len(self._clauses)
         for clause in clauses:
-            cid = len(self._clauses)
-            codes = [code[lit] for lit in clause][:]  # a slice is allocated at its exact size
+            if not clause:
+                continue
+            codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
             ids[clause] = cid
-            self._clauses.append(clause)
-            self._lits.append(codes)
-            for c in codes:
-                occurs[c].append(cid)
+            add_clause(clause)
+            add_codes(codes)
+            if occurs is not None:
+                for c in codes:
+                    occurs[c].append(cid)
             if len(codes) == 1:
-                self._units.append(codes[0])
+                units.append(codes[0])
             else:
                 watches[codes[0]].append(cid)
                 watches[codes[1]].append(cid)
+            cid += 1
+
+    def _occurrences(self) -> list[list[int]]:
+        """The occurrence lists, built in id order on first use."""
+        if self._occurs is None:
+            self._occurs = [[] for _ in self._values]
+            for cid, codes in enumerate(self._lits):
+                for code in codes or ():
+                    self._occurs[code].append(cid)
+        return self._occurs
 
     def _detach_copy(self, clause: tuple[int, ...]) -> None:
         # one copy was removed from the formula; length-1 clauses never reach here
@@ -100,8 +122,9 @@ class CheckerState:
         elif self.formula.count(clause) == 0:
             cid = self._ids.pop(clause)
             codes = self._lits[cid]
-            for code in codes:
-                self._occurs[code].remove(cid)
+            if self._occurs is not None:
+                for code in codes:
+                    self._occurs[code].remove(cid)
             self._watches[codes[0]].remove(cid)
             self._watches[codes[1]].remove(cid)
             self._clauses[cid] = self._lits[cid] = None
@@ -192,7 +215,7 @@ class CheckerState:
         pivot = clause.literals[0]
         self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
         own = set(clause.canonical)
-        for cid in self._occurs[self._code[-pivot]]:
+        for cid in self._occurrences()[self._code[-pivot]]:
             other = self._clauses[cid]
             rest = [lit for lit in other if lit != -pivot]
             if any(-lit in own for lit in rest):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .model import MAX_LITERAL, ClauseError, Formula, normalize_clause
+import re
+
+from .lexer import Lines
+from .model import MAX_LITERAL, ClauseError, Formula, canonical_form
 
 
 class DimacsError(ValueError):
@@ -40,59 +43,26 @@ class LiteralOverflowError(DimacsError):
     pass
 
 
-def _decode(data) -> str:
-    if isinstance(data, str):
-        return data
-    # latin-1 maps bytes 1:1 so byte offsets stay aligned with char offsets
-    return data.decode("latin-1")
+_HEADER = re.compile(rb"[ \t]*p[ \t]+cnf[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]*")
 
 
-def iter_lines(text: str):
-    """Yield (line_number, byte_offset, line) with comment lines skipped."""
-    offset = 0
-    for number, line in enumerate(text.splitlines(keepends=True), start=1):
-        stripped = line.rstrip("\r\n")
-        if not stripped.startswith("c"):
-            yield number, offset, stripped
-        offset += len(line)
-
-
-def iter_tokens(text: str, skip_lines: int = 0):
-    """Yield (token, line_number, byte_offset) for whitespace-separated tokens."""
-    for number, offset, line in iter_lines(text):
-        if number <= skip_lines:
+def _parse_header(reader: Lines):
+    """Return (var_max, num_cls, position of the line after the header)."""
+    for pos, line in reader.lines():
+        if line[:1] == b"c" or not line.strip(b" \t"):
             continue
-        col = 0
-        for token in line.split():
-            col = line.index(token, col)
-            yield token, number, offset + col
-            col += len(token)
-
-
-def parse_literal_token(token: str, line: int, offset: int) -> int:
-    body = token[1:] if token.startswith("-") else token
-    if not body.isdigit() or body.lstrip("0") != body:
-        raise DimacsError("malformed literal %r" % token, line, offset)
-    value = int(token)
-    if abs(value) > MAX_LITERAL:
-        raise LiteralOverflowError("literal %s exceeds 2^31 - 1" % token, line, offset)
-    return value
-
-
-def _parse_header(text: str):
-    """Return (var_max, num_cls, header_line_number)."""
-    for number, offset, line in iter_lines(text):
-        if not line.split():
-            continue
-        fields = line.split()
-        if fields[0] != "p":
-            raise HeaderError("expected 'p cnf' header before clauses", number, offset)
-        if len(fields) != 4 or fields[1] != "cnf" or not fields[2].isdigit() or not fields[3].isdigit():
-            raise HeaderError("malformed header %r" % line.strip(), number, offset)
-        var_max, num_cls = int(fields[2]), int(fields[3])
+        match = _HEADER.fullmatch(line)
+        try:
+            var_max, num_cls = int(match[1]), int(match[2])
+        except (TypeError, ValueError):  # no match, or too many digits for int()
+            if not re.match(rb"[ \t]*p(?:[ \t]|$)", line):
+                raise reader.located(HeaderError, "expected 'p cnf' header before clauses", (pos, None))
+            message = "malformed header %r" % line.decode("latin-1").strip()
+            raise reader.located(HeaderError, message, (pos, None)) from None
         if var_max > MAX_LITERAL:
-            raise HeaderError("variable count %d exceeds 2^31 - 1" % var_max, number, offset)
-        return var_max, num_cls, number
+            message = "variable count %d exceeds 2^31 - 1" % var_max
+            raise reader.located(HeaderError, message, (pos, None))
+        return var_max, num_cls, pos + len(line) + 1
     raise HeaderError("no 'p cnf' header found")
 
 
@@ -100,38 +70,24 @@ def parse_dimacs(data) -> Formula:
     """Parse a DIMACS CNF formula.
 
     Duplicate clauses are kept as separate copies. Comment lines are
-    skipped anywhere; blanks are space, tab and newline, so a clause may
-    span lines and several clauses may share one line.
+    skipped anywhere; blanks are space, tab, newline and a carriage return
+    before a newline, so a clause may span lines and several clauses may
+    share one line.
     """
-    text = _decode(data)
-    var_max, num_cls, header_line = _parse_header(text)
-    formula = Formula(declared_vars=var_max, declared_clauses=num_cls)
-
-    current: list[int] = []
-    clause_line = clause_offset = 0
-    for token, line, offset in iter_tokens(text, skip_lines=header_line):
-        if token == "0":
-            try:
-                clause = normalize_clause(current)
-            except ClauseError as exc:
-                raise DimacsError(str(exc), clause_line or line, clause_offset or offset) from exc
-            formula.add_clause(clause.canonical)
-            current = []
-            clause_line = clause_offset = 0
-            continue
-        lit = parse_literal_token(token, line, offset)
-        if abs(lit) > var_max:
-            raise VarOutOfRangeError(
-                "literal %d exceeds declared maximum variable %d" % (lit, var_max), line, offset
-            )
-        if not current:
-            clause_line, clause_offset = line, offset
-        current.append(lit)
-
-    if current:
-        raise UnterminatedClauseError(
-            "end of input inside a clause (missing terminating 0)", clause_line, clause_offset
-        )
+    reader = Lines(data, DimacsError, LiteralOverflowError, VarOutOfRangeError)
+    var_max, num_cls, body = _parse_header(reader)
+    counts: dict[tuple[int, ...], int] = {}
+    get = counts.get
+    for _, lits, where in reader.clauses(body, var_max):
+        try:
+            clause = canonical_form(lits)
+        except ClauseError as exc:
+            raise reader.located(DimacsError, str(exc), where) from exc
+        counts[clause] = get(clause, 0) + 1
+    if reader.unterminated is not None:
+        message = "end of input inside a clause (missing terminating 0)"
+        raise reader.located(UnterminatedClauseError, message, reader.unterminated)
+    formula = Formula.from_counts(counts, var_max, num_cls)
     if len(formula) != num_cls:
         raise ClauseCountError(
             "header declares %d clauses but %d were found" % (num_cls, len(formula))

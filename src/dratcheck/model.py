@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 # DIMACS variable indices fit in a signed 32-bit int; 0 is the clause terminator.
 MAX_LITERAL = 2**31 - 1
@@ -42,11 +43,6 @@ def check_literal(lit: int) -> int:
     return lit
 
 
-def canonical_key(lit: int):
-    # ascending variable index, positive literal before negative at the same variable
-    return (abs(lit), lit < 0)
-
-
 @dataclass(frozen=True)
 class SourceClause:
     """A clause as written, plus its canonical (sorted) form.
@@ -63,22 +59,34 @@ class SourceClause:
         return len(self.literals)
 
 
+def canonical_form(literals) -> tuple[int, ...]:
+    """The literals sorted by variable.
+
+    Raises TautologyError or DuplicateLiteralError on the two clause syntax
+    violations; the first offending pair in canonical order (ascending
+    variable, positive literal first) is named.
+    """
+    if len(set(map(abs, literals))) != len(literals):
+        ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise DuplicateLiteralError("duplicate literal %d" % a)
+            if a == -b:
+                raise TautologyError("complementary literals %d and %d" % (a, b))
+    # with one literal per variable, sorting by variable is the canonical order
+    return tuple(sorted(literals, key=abs))
+
+
 def normalize_clause(literals) -> SourceClause:
     """Validate a literal sequence and attach its canonical form.
 
-    Raises TautologyError or DuplicateLiteralError on the two clause syntax
-    violations, LiteralRangeError on out-of-range literals.
+    Raises the errors of canonical_form, and LiteralRangeError on
+    out-of-range literals.
     """
     original = tuple(literals)
     for lit in original:
         check_literal(lit)
-    ordered = sorted(original, key=canonical_key)
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            raise DuplicateLiteralError("duplicate literal %d" % a)
-        if a == -b:
-            raise TautologyError("complementary literals %d and %d" % (a, b))
-    return SourceClause(original, tuple(ordered))
+    return SourceClause(original, canonical_form(original))
 
 
 def format_clause(literals) -> str:
@@ -108,6 +116,15 @@ class Formula:
             formula.add_clause(normalize_clause(lits).canonical)
         formula.declared_vars = formula.max_variable() if declared_vars is None else declared_vars
         formula.declared_clauses = len(formula) if declared_clauses is None else declared_clauses
+        return formula
+
+    @classmethod
+    def from_counts(cls, counts, declared_vars: int = 0, declared_clauses: int = 0) -> "Formula":
+        """A formula owning counts, a dict of canonical clause -> number of copies."""
+        formula = cls(declared_vars, declared_clauses)
+        formula._counts = counts
+        formula._size = sum(counts.values())
+        formula._max_var = max(map(abs, chain.from_iterable(counts)), default=0)
         return formula
 
     def add_clause(self, clause: tuple[int, ...]) -> None:

@@ -9,10 +9,12 @@ from .model import (
     ClauseError,
     Proof,
     ProofStep,
+    SourceClause,
+    canonical_form,
     check_literal,
     normalize_clause,
 )
-from .dimacs import iter_tokens, parse_literal_token
+from .lexer import Lines
 
 PLAIN = "plain"
 BINARY = "binary"
@@ -115,41 +117,17 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
 
 def parse_plain_proof(data) -> Proof:
     """Parse a plain-text DRAT proof into ordered add/delete steps."""
-    if isinstance(data, bytes):
-        data = data.decode("latin-1")
+    reader = Lines(data, ProofError)
     steps: list[ProofStep] = []
-    kind = ADD
-    current: list[int] = []
-    in_clause = False
-    step_line = step_offset = 0
-    for token, line, offset in iter_tokens(data):
-        if token == "d" and not in_clause and kind == ADD:
-            kind = DELETE
-            step_line, step_offset = line, offset
-            continue
-        if token == "0":
-            try:
-                clause = normalize_clause(current)
-            except ClauseError as exc:
-                raise ProofError(str(exc), step_line or line, step_offset or offset) from exc
-            steps.append(ProofStep(kind, clause))
-            kind = ADD
-            current = []
-            in_clause = False
-            step_line = step_offset = 0
-            continue
-        if token.startswith("d"):
-            raise ProofError("malformed delete prefix %r" % token, line, offset)
-        lit = parse_literal_token(token, line, offset)
-        if not in_clause:
-            in_clause = True
-            if kind == ADD:
-                step_line, step_offset = line, offset
-        current.append(lit)
-    if in_clause or kind == DELETE:
-        raise ProofError(
-            "end of input inside a proof step (missing terminating 0)", step_line, step_offset
-        )
+    for delete, lits, where in reader.clauses(0, deletes=True):
+        try:
+            clause = SourceClause(tuple(lits), canonical_form(lits))
+        except ClauseError as exc:
+            raise reader.located(ProofError, str(exc), where) from exc
+        steps.append(ProofStep(DELETE if delete else ADD, clause))
+    if reader.unterminated is not None:
+        message = "end of input inside a proof step (missing terminating 0)"
+        raise reader.located(ProofError, message, reader.unterminated)
     return Proof(steps)
 
 

@@ -326,6 +326,54 @@ def test_deleting_each_empty_clause_copy_restores_propagation():
     assert report.step == 3
 
 
+@pytest.mark.parametrize("early_rat", [False, True])
+def test_rat_candidates_stay_oldest_first_across_delete_and_re_add(early_rat):
+    # (-1 2) is deleted and re-added (by AT, through (2 -3)), so (-1 3) is
+    # now the older candidate for pivot 1, and both resolvents fail. With
+    # early_rat a RAT stage builds the occurrence lists before the deletion
+    # and they are kept up to date; otherwise the last step builds them.
+    formula = parse_dimacs("p cnf 5 3\n-1 2 0\n-1 3 0\n2 -3 0\n")
+    lines = (["5 0"] if early_rat else []) + ["d -1 2 0", "-1 2 0", "1 4 0"]
+    trace = []
+    report = check_proof(formula, parse_plain_proof("\n".join(lines) + "\n"), trace=trace.append)
+    step = len(lines)
+    assert "step %d: AT check passed for (-1 2)" % (step - 1) in trace
+    assert (report.verdict, report.step, report.pivot) == (REJECTED, step, 1)
+    assert report.failed_resolvent == (1, 4, 3)
+    assert [line for line in trace if line.startswith("step %d:" % step)] == [
+        "step %d: AT failed for (1 4); RAT check with pivot 1" % step,
+        "step %d: resolvent (1 4 3) (with (-1 3)): AT failed" % step,
+    ]
+
+
+@pytest.mark.parametrize("early_rat", [False, True])
+def test_rat_stage_after_deletions_sees_no_deleted_clause(early_rat):
+    formula = parse_dimacs("p cnf 7 3\n-1 2 0\n-1 3 0\n-1 -2 -3 0\n")
+    state = CheckerState(formula)
+    if early_rat:
+        assert state.apply_add(normalize_clause([6, 7]), 1) is None  # RAT, no candidates
+    for number, lits in enumerate(([-1, 2], [-1, -2, -3], [-1, 3]), start=2):
+        assert state.apply_delete(normalize_clause(lits), number) is None
+    assert state.apply_add(normalize_clause([-1, 5]), 5) is None  # no clause holds 1
+    trace = []
+    state.trace = trace.append
+    lemma = normalize_clause([1, 4])
+    assert state.apply_add(lemma, 6).failed_resolvent == (1, 4, 5)
+    assert trace == [
+        "AT failed for (1 4); RAT check with pivot 1",
+        "resolvent (1 4 5) (with (-1 5)): AT failed",
+    ]
+
+
+def test_occurrence_lists_are_built_by_the_first_rat_stage_only():
+    state = CheckerState(paper_f0())
+    assert state.apply_add(normalize_clause([-1, 2, -3]), 1) is None  # passes AT
+    assert state.apply_delete(normalize_clause([1, 2, -3]), 2) is None
+    assert state._occurs is None
+    assert state.apply_add(normalize_clause([-1]), 3) is None  # needs its RAT stage
+    assert state._occurs is not None
+
+
 def test_trace_text_is_only_built_for_a_listener(monkeypatch, paper_formula, paper_proof):
     def refuse(literals):
         raise AssertionError("trace text built without a listener")

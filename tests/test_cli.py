@@ -77,6 +77,14 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
     assert out.startswith("c error: %s" % formula)
 
 
+def test_check_proof_literal_error_exits_2_with_its_location(paper_files, tmp_path, capsys):
+    formula, _ = paper_files
+    proof = tmp_path / "bad.drat"
+    proof.write_bytes(b"1 0\n1 x 0\n")
+    assert main(["check", str(formula), str(proof)]) == 2
+    assert capsys.readouterr().out == "c error: %s: line 2, byte 6: malformed literal 'x'\n" % proof
+
+
 def test_check_missing_file_exits_2(tmp_path, capsys):
     proof = tmp_path / "proof.drat"
     proof.write_text("0\n")

@@ -140,3 +140,30 @@ def test_write_then_reparse_round_trips(clauses):
     formula = parse_dimacs(header + body)
     again = parse_dimacs(write_dimacs(formula))
     assert again.clause_counts() == formula.clause_counts()
+
+
+def test_no_break_space_does_not_separate_literals():
+    with pytest.raises(DimacsError, match="malformed literal") as info:
+        parse_dimacs(b"p cnf 2 1\n1\xa02 0\n")
+    assert (info.value.line, info.value.offset) == (2, 10)
+
+
+def test_form_feed_is_not_a_blank():
+    with pytest.raises(DimacsError, match="malformed literal") as info:
+        parse_dimacs(b"p cnf 2 1\n1\x0c2 0\n")
+    assert (info.value.line, info.value.offset) == (2, 10)
+
+
+def test_comment_lines_end_only_at_newline():
+    with pytest.raises(DimacsError) as info:
+        parse_dimacs(b"p cnf 2 2\nc x\x85y\n1 2 0\n1 x 0\n")
+    assert (info.value.message, info.value.line, info.value.offset) == ("malformed literal 'x'", 4, 24)
+
+
+def test_crlf_line_ends_are_blanks_and_a_lone_cr_is_not():
+    formula = parse_dimacs(b"c crlf\r\np cnf 2 2\r\n1 2 0\r\n-1\t0 \r\n")
+    assert sorted(formula.clauses()) == [(-1,), (1, 2)]
+    with pytest.raises(DimacsError, match="malformed literal"):
+        parse_dimacs(b"p cnf 2 1\n1\r2 0\n")
+    with pytest.raises(DimacsError, match="malformed literal"):
+        parse_dimacs(b"p cnf 2 1\n1 2 0\r\r\n")

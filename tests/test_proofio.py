@@ -8,6 +8,7 @@ from dratcheck import (
     ADD,
     BINARY,
     DELETE,
+    DimacsError,
     MAX_LITERAL,
     PLAIN,
     Proof,
@@ -134,6 +135,24 @@ def test_parse_plain_errors():
         parse_plain_proof("1 -1 0\n")  # tautology
     with pytest.raises(ProofError):
         parse_plain_proof("1 1 0\n")  # duplicate literal
+
+
+def test_no_break_space_in_a_proof_is_a_malformed_literal():
+    with pytest.raises(ProofError, match="malformed literal") as info:
+        parse_plain_proof(b"1 0\n1\xa02 0\n")
+    assert (info.value.line, info.value.offset) == (2, 4)
+
+
+def test_proof_literal_errors_are_proof_errors():
+    for data in (b"1 x 0\n", b"1 007 0\n", b"2147483648 0\n"):
+        with pytest.raises(ProofError) as info:
+            parse_plain_proof(data)
+        assert not isinstance(info.value, DimacsError)
+
+
+def test_parse_plain_crlf_proof():
+    proof = parse_plain_proof(b"d 1 2 0\r\n-1\t0\r\nc x\r\n0\r\n")
+    assert [(s.kind, s.clause.literals) for s in proof] == [(DELETE, (1, 2)), (ADD, (-1,)), (ADD, ())]
 
 
 def test_parse_binary_worked_example():
