@@ -69,9 +69,9 @@ class Lines:
 
         Reading starts at the line starting at pos. where locates the
         clause's first token, which is its ``d`` prefix if deletes allows
-        one. Errors are raised in input order; a literal whose variable is
-        above limit is one. A clause left open at the end of the input is
-        not yielded: its location is kept in ``unterminated``.
+        one. Errors, a literal whose variable is above limit among them,
+        are raised in input order. A clause left open at the end of the
+        input is not yielded: its location is kept in ``unterminated``.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck import (
+    ADD,
+    DELETE,
     DimacsError,
     Formula,
     Proof,
@@ -49,10 +51,10 @@ def parses_or_locates(parse, error, data):
 
 
 @st.composite
-def written_clauses(draw, prefix=b""):
+def written_clauses(draw):
     """(clauses, bytes) with blanks, comments and line ends drawn at random."""
     clauses = draw(st.lists(clause, max_size=8))
-    out = bytearray(prefix)
+    out = bytearray()
     for lits in clauses:
         out += draw(st.sampled_from([b"", b" ", b"\t"]))
         for lit in lits + (0,):
@@ -119,6 +121,8 @@ def test_valid_proof_parses_to_its_steps_and_round_trips(written, deletes):
         for i, lits in enumerate(clauses)
     )
     proof = parse_plain_proof(text)
-    assert [step.clause.literals for step in proof] == [tuple(lits) for lits in clauses]
+    assert [(step.kind, step.clause.literals) for step in proof] == [
+        (DELETE if i < len(deletes) and deletes[i] else ADD, tuple(lits)) for i, lits in enumerate(clauses)
+    ]
     assert serialize_plain(proof) == text.replace(b"\r\n", b"\n")
     assert parse_plain_proof(serialize_plain(proof)).steps == proof.steps
