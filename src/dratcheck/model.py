@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 # DIMACS variable indices fit in a signed 32-bit int; 0 is the clause terminator.
@@ -43,8 +42,29 @@ def check_literal(lit: int) -> int:
     return lit
 
 
-@dataclass(frozen=True)
-class SourceClause:
+class _Value:
+    """Equality, hash and repr by field, for classes whose __slots__ are their fields.
+
+    A class with a list field is unhashable, as hashing its fields fails.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+
+class SourceClause(_Value):
     """A clause as written, plus its canonical (sorted) form.
 
     The textual order matters to the checker: the first written literal is
@@ -52,8 +72,11 @@ class SourceClause:
     storage) works on the canonical form.
     """
 
-    literals: tuple[int, ...]
-    canonical: tuple[int, ...]
+    __slots__ = ("literals", "canonical")
+
+    def __init__(self, literals: tuple[int, ...], canonical: tuple[int, ...]):
+        self.literals = literals
+        self.canonical = canonical
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -194,10 +217,12 @@ class Formula:
         return "Formula(%d vars, %d clauses)" % (self.declared_vars, self._size)
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    kind: str  # ADD or DELETE
-    clause: SourceClause
+class ProofStep(_Value):
+    __slots__ = ("kind", "clause")
+
+    def __init__(self, kind: str, clause: SourceClause):
+        self.kind = kind  # ADD or DELETE
+        self.clause = clause
 
 
 def add_step(literals) -> ProofStep:
@@ -208,9 +233,11 @@ def delete_step(literals) -> ProofStep:
     return ProofStep(DELETE, normalize_clause(literals))
 
 
-@dataclass
-class Proof:
-    steps: list[ProofStep] = field(default_factory=list)
+class Proof(_Value):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[ProofStep] | None = None):
+        self.steps = [] if steps is None else steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -219,15 +246,16 @@ class Proof:
         return iter(self.steps)
 
 
-@dataclass(frozen=True)
-class DeletionWarning:
-    step: int  # 1-based proof line
-    kind: str  # WARN_DELETED_MISSING or WARN_UNIT_DELETION
-    clause: SourceClause
+class DeletionWarning(_Value):
+    __slots__ = ("step", "kind", "clause")
+
+    def __init__(self, step: int, kind: str, clause: SourceClause):
+        self.step = step  # 1-based proof line
+        self.kind = kind  # WARN_DELETED_MISSING or WARN_UNIT_DELETION
+        self.clause = clause
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Value):
     """Outcome of checking a proof against a formula.
 
     verdict is VERIFIED, REJECTED or NO_EMPTY_CLAUSE. On rejection, step
@@ -236,13 +264,18 @@ class CheckReport:
     the first resolvent whose propagation check did not conflict.
     """
 
-    verdict: str
-    warnings: list[DeletionWarning] = field(default_factory=list)
-    step: int | None = None
-    reason: str | None = None
-    clause: SourceClause | None = None
-    pivot: int | None = None
-    failed_resolvent: tuple[int, ...] | None = None
+    __slots__ = ("verdict", "warnings", "step", "reason", "clause", "pivot", "failed_resolvent")
+
+    def __init__(self, verdict: str, warnings: list[DeletionWarning] | None = None,
+                 step: int | None = None, reason: str | None = None, clause: SourceClause | None = None,
+                 pivot: int | None = None, failed_resolvent: tuple[int, ...] | None = None):
+        self.verdict = verdict
+        self.warnings = [] if warnings is None else warnings
+        self.step = step
+        self.reason = reason
+        self.clause = clause
+        self.pivot = pivot
+        self.failed_resolvent = failed_resolvent
 
     @property
     def verified(self) -> bool:

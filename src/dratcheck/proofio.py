@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from .model import (
     ADD,
     DELETE,
@@ -12,7 +14,6 @@ from .model import (
     SourceClause,
     canonical_form,
     check_literal,
-    normalize_clause,
 )
 from .lexer import Lines
 
@@ -131,41 +132,57 @@ def parse_plain_proof(data) -> Proof:
     return Proof(steps)
 
 
+class _Memo(dict):
+    """A per-call cache of function(key)."""
+
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+# A record is its prefix, its varints and a zero byte. A varint has at most
+# five bytes and may end in a zero byte only after a continuation byte.
+_RECORD = re.compile(rb"([ad])((?:[\x80-\xff]{1,4}[\x00-\x7f]|[\x01-\x7f])*)\x00")
+_VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
+
+
 def parse_binary_proof(data: bytes) -> Proof:
     """Parse a binary DRAT proof: 0x61/0x64 prefix, varint codes, 0x00 terminator."""
+    literal = _Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
     steps: list[ProofStep] = []
     pos = 0
-    size = len(data)
-    while pos < size:
-        prefix = data[pos]
-        record_start = pos
-        if prefix == ADD_PREFIX:
-            kind = ADD
-        elif prefix == DELETE_PREFIX:
-            kind = DELETE
-        else:
-            raise BadPrefixError(
-                "record prefix 0x%02x is neither 'a' nor 'd'" % prefix, offset=pos
-            )
-        pos += 1
-        literals: list[int] = []
-        while True:
-            if pos >= size:
-                raise TruncatedRecordError(
-                    "input ends inside a record (missing zero byte)", offset=record_start
-                )
-            if data[pos] == 0:
-                pos += 1
-                break
-            code, consumed = decode_varint(data, pos)
-            literals.append(unmap_literal(code))
-            pos += consumed
+    for record in _RECORD.finditer(data):
+        if record.start() != pos:
+            break
+        prefix, body = record.groups()
         try:
-            clause = normalize_clause(literals)
+            lits = [*map(literal, _VARINT.findall(body))]
+        except ProofError:
+            _raise_record_error(data, pos)
+        try:
+            clause = SourceClause(tuple(lits), canonical_form(lits))
         except ClauseError as exc:
-            raise ProofError(str(exc), offset=record_start) from exc
-        steps.append(ProofStep(kind, clause))
+            raise ProofError(str(exc), offset=pos) from exc
+        steps.append(ProofStep(ADD if prefix == b"a" else DELETE, clause))
+        pos = record.end()
+    if pos < len(data):
+        _raise_record_error(data, pos)
     return Proof(steps)
+
+
+def _raise_record_error(data, start: int):
+    """Decode the record at start, which holds an error, byte by byte and raise its first error."""
+    if data[start] not in (ADD_PREFIX, DELETE_PREFIX):
+        raise BadPrefixError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=start)
+    pos = start + 1
+    while pos < len(data) and data[pos]:
+        code, consumed = decode_varint(data, pos)
+        unmap_literal(code)
+        pos += consumed
+    raise TruncatedRecordError("input ends inside a record (missing zero byte)", offset=start)
 
 
 def serialize_plain(proof: Proof) -> bytes:
@@ -181,16 +198,17 @@ def serialize_plain(proof: Proof) -> bytes:
 
 def serialize_binary(proof: Proof) -> bytes:
     """Write a proof in the binary encoding, bit-exact with parse_binary_proof."""
+    varint = _Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
     out = bytearray()
     for step in proof:
-        out.append(DELETE_PREFIX if step.kind == DELETE else ADD_PREFIX)
-        for lit in step.clause.literals:
-            out += encode_varint(map_literal(lit))
+        # one join per record: joining the whole proof at once costs a buffer per literal
+        out += (b"d" if step.kind == DELETE else b"a") + b"".join(map(varint, step.clause.literals))
         out.append(0)
     return bytes(out)
 
 
-_PLAIN_BYTES = frozenset(range(0x20, 0x7F)) | {0x09, 0x0A, 0x0D}
+_BLANKS = re.compile(rb"[ \t\n\r]*")
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 def detect_encoding(data: bytes) -> str:
@@ -200,7 +218,7 @@ def detect_encoding(data: bytes) -> str:
     also ordinary text, so binary is assumed only when the buffer contains
     bytes no plain proof could contain.
     """
-    first = next((b for b in data if b not in (0x20, 0x09, 0x0A, 0x0D)), None)
-    if first in (ADD_PREFIX, DELETE_PREFIX) and any(b not in _PLAIN_BYTES for b in data):
+    start = _BLANKS.match(data).end()
+    if data[start : start + 1] in (b"a", b"d") and data.translate(None, _PLAIN_BYTES):
         return BINARY
     return PLAIN

@@ -90,3 +90,70 @@ def replay_naive(clauses, steps):
         else:
             database.append(literals)
     return "no-empty-clause", None, warned
+
+
+class NaiveBinaryError(ValueError):
+    """A binary proof error: the name of dratcheck's error class, message, offset."""
+
+    def __init__(self, name, message, offset=0):
+        super().__init__(message)
+        self.name, self.message, self.offset = name, message, offset
+
+
+def parse_binary_naive(data):
+    """Decode a binary DRAT proof one byte at a time into (kind, literals) pairs.
+
+    kind is "a" or "d". A record is an 'a'/'d' prefix, varint literal codes
+    (7-bit groups, least significant first, at most 5 bytes, at most
+    2^32 - 1) and a zero byte; code 2l is literal l, code 2l + 1 is -l, and
+    codes 0 and 1 are reserved. Raises NaiveBinaryError at the first error:
+    at the record start for a bad prefix, a missing zero byte or a clause
+    with a duplicate or complementary pair (the first pair by variable,
+    positive first); at the varint start for a truncated or overlong varint;
+    with no offset for a reserved code.
+    """
+    steps = []
+    pos = 0
+    while pos < len(data):
+        start = pos
+        if data[pos] not in b"ad":
+            raise NaiveBinaryError(
+                "BadPrefixError", "record prefix 0x%02x is neither 'a' nor 'd'" % data[pos], start
+            )
+        kind = chr(data[pos])
+        pos += 1
+        literals = []
+        while True:
+            if pos == len(data):
+                raise NaiveBinaryError(
+                    "TruncatedRecordError", "input ends inside a record (missing zero byte)", start
+                )
+            if data[pos] == 0:
+                pos += 1
+                break
+            varint_start = pos
+            code = 0
+            for group in range(5):
+                if pos == len(data):
+                    raise NaiveBinaryError("TruncatedVarintError", "input ends inside a varint", varint_start)
+                byte = data[pos]
+                pos += 1
+                code += (byte % 128) * 128**group
+                if byte < 128:
+                    break
+            else:
+                raise NaiveBinaryError("VarintOverflowError", "varint longer than 5 bytes", varint_start)
+            if code >= 2**32:
+                message = "varint value %d out of literal range" % code
+                raise NaiveBinaryError("VarintOverflowError", message, varint_start)
+            if code < 2:
+                raise NaiveBinaryError("InvalidCodeError", "literal code %d is reserved" % code)
+            literals.append(code // 2 if code % 2 == 0 else -(code // 2))
+        ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise NaiveBinaryError("ProofError", "duplicate literal %d" % a, start)
+            if a == -b:
+                raise NaiveBinaryError("ProofError", "complementary literals %d and %d" % (a, b), start)
+        steps.append((kind, tuple(literals)))
+    return steps

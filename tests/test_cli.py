@@ -166,3 +166,19 @@ def test_exit_codes_partition_outcomes(paper_files, tmp_path):
     assert main(["check", str(formula), str(proof)]) == 0
     assert main(["check", str(formula), str(empty)]) == 1
     assert main(["check", missing, str(proof)]) == 2
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_oracle():
+    import os
+    import subprocess
+    import sys
+
+    import dratcheck
+
+    source = os.path.dirname(os.path.dirname(dratcheck.__file__))
+    script = "import sys; sys.path.insert(0, %r); import dratcheck.cli; " % source + (
+        "print(sorted({'dataclasses', 'dratcheck.oracle'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

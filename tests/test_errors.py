@@ -3,11 +3,14 @@
 Lines are 1-based; offsets are 0-based byte positions in the input buffer.
 A clause error (duplicate or complementary literals) is located at the
 first token of its clause or step, a header error at the start of its line.
+Binary proofs have no lines: a clause error, a bad prefix or a missing zero
+byte is located at the record start, a varint error at the varint's first
+byte, and an invalid literal code carries no offset.
 """
 
 import pytest
 
-from dratcheck import parse_dimacs, parse_plain_proof
+from dratcheck import ADD, parse_binary_proof, parse_dimacs, parse_plain_proof
 from dratcheck.dimacs import (
     ClauseCountError,
     DimacsError,
@@ -16,7 +19,14 @@ from dratcheck.dimacs import (
     UnterminatedClauseError,
     VarOutOfRangeError,
 )
-from dratcheck.proofio import ProofError
+from dratcheck.proofio import (
+    BadPrefixError,
+    InvalidCodeError,
+    ProofError,
+    TruncatedRecordError,
+    TruncatedVarintError,
+    VarintOverflowError,
+)
 
 DIMACS_CASES = [
     # header
@@ -82,6 +92,32 @@ PROOF_CASES = [
     (b"c x\x85y\n1 0\r\n1 x 0\n", ProofError, "malformed literal 'x'", 3, 13),
 ]
 
+BINARY_CASES = [
+    # bad prefix, first record and later records
+    (b"b\x02\x00", BadPrefixError, "record prefix 0x62 is neither 'a' nor 'd'", 0),
+    (b"a\x02\x00x", BadPrefixError, "record prefix 0x78 is neither 'a' nor 'd'", 3),
+    (b"a\x00\x00", BadPrefixError, "record prefix 0x00 is neither 'a' nor 'd'", 2),
+    # truncated record and truncated varint
+    (b"a\x02", TruncatedRecordError, "input ends inside a record (missing zero byte)", 0),
+    (b"a\x02\x00d\x04\x06", TruncatedRecordError, "input ends inside a record (missing zero byte)", 3),
+    (b"a\x80", TruncatedVarintError, "input ends inside a varint", 1),
+    (b"a\x02\x00a\x04\x80", TruncatedVarintError, "input ends inside a varint", 5),
+    # varint longer than 5 bytes, and a code past 2^32 - 1
+    (b"a\x80\x80\x80\x80\x80\x00", VarintOverflowError, "varint longer than 5 bytes", 1),
+    (b"a\x80\x80\x80\x80\x10\x00", VarintOverflowError,
+     "varint value 4294967296 out of literal range", 1),
+    (b"d\x00a\x02\x80\x80\x80\x80\x10\x00", VarintOverflowError,
+     "varint value 4294967296 out of literal range", 4),
+    # reserved codes 0 (non-minimal 80 00) and 1
+    (b"a\x80\x00\x00", InvalidCodeError, "literal code 0 is reserved", 0),
+    (b"a\x01\x00", InvalidCodeError, "literal code 1 is reserved", 0),
+    (b"a\x02\x00d\x04\x01\x00", InvalidCodeError, "literal code 1 is reserved", 0),
+    # duplicate or tautology, at the record start
+    (b"a\x02\x04\x02\x00", ProofError, "duplicate literal 1", 0),
+    (b"a\x02\x03\x00", ProofError, "complementary literals 1 and -1", 0),
+    (b"a\x02\x00d\x04\x84\x00\x00", ProofError, "duplicate literal 2", 3),
+]
+
 
 def _raised(parse, data):
     with pytest.raises(Exception) as info:
@@ -99,3 +135,14 @@ def test_dimacs_error_location(data, error, message, line, offset):
 def test_proof_error_location(data, error, message, line, offset):
     assert _raised(parse_plain_proof, data) == (error, message, line, offset)
 
+
+
+@pytest.mark.parametrize("data,error,message,offset", BINARY_CASES)
+def test_binary_proof_error_location(data, error, message, offset):
+    assert _raised(parse_binary_proof, data) == (error, message, 0, offset)
+
+
+def test_binary_varint_may_end_in_zero_after_a_continuation_byte():
+    # 82 00 is a non-minimal varint for code 2; the next 00 ends the record
+    proof = parse_binary_proof(b"a\x82\x00\x00")
+    assert [(step.kind, step.clause.literals) for step in proof] == [(ADD, (1,))]

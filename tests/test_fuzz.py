@@ -1,9 +1,10 @@
-"""Fuzzing the DIMACS and plain DRAT readers.
+"""Fuzzing the DIMACS, plain DRAT and binary DRAT readers.
 
 Any input gives either a parsed value or a DimacsError/ProofError whose
 location lies inside the buffer; no other exception may escape. Valid
 inputs written with any blank style parse to what they spell and
-round-trip through the writers.
+round-trip through the writers. The binary reader gives the same steps
+or the same error as a byte-at-a-time reference decoder.
 """
 
 from hypothesis import given, settings
@@ -16,11 +17,13 @@ from dratcheck import (
     Formula,
     Proof,
     ProofError,
+    parse_binary_proof,
     parse_dimacs,
     parse_plain_proof,
     serialize_plain,
     write_dimacs,
 )
+from slowpath import NaiveBinaryError, parse_binary_naive
 
 # bytes the readers treat specially, and their near misses
 ALPHABET = list(b"0123456789- \t\r\ncdpnf\x00\x0b\x0c\x85\xa0\xb2")
@@ -126,3 +129,24 @@ def test_valid_proof_parses_to_its_steps_and_round_trips(written, deletes):
     ]
     assert serialize_plain(proof) == text.replace(b"\r\n", b"\n")
     assert parse_plain_proof(serialize_plain(proof)).steps == proof.steps
+
+
+# record prefixes, terminators, reserved codes, varint continuations and overflow
+BINARY_ALPHABET = list(b"ad\x00\x01\x02\x03\x04\x0f\x10\x7f\x80\x81\x82\xfe\xff")
+near_binary = st.lists(st.sampled_from(BINARY_ALPHABET), max_size=40).map(bytes)
+
+
+@given(st.sampled_from([b"", b"a"]), st.one_of(st.binary(max_size=60), near_binary))
+@settings(max_examples=600)
+def test_binary_reader_matches_the_byte_at_a_time_reference(head, body):
+    data = head + body
+    try:
+        expected = parse_binary_naive(data)
+    except NaiveBinaryError as exc:
+        expected = (exc.name, exc.message, exc.offset)
+    try:
+        proof = parse_binary_proof(data)
+    except ProofError as exc:
+        assert (type(exc).__name__, exc.message, exc.offset) == expected
+    else:
+        assert [("d" if step.kind == DELETE else "a", step.clause.literals) for step in proof] == expected

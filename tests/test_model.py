@@ -5,10 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dratcheck import (
+    ADD,
+    DELETE,
+    MAX_LITERAL,
+    NO_EMPTY_CLAUSE,
+    REJECTED,
+    VERIFIED,
+    WARN_UNIT_DELETION,
+    CheckReport,
+    DeletionWarning,
     DuplicateLiteralError,
     Formula,
     LiteralRangeError,
-    MAX_LITERAL,
+    Proof,
+    ProofStep,
+    SourceClause,
     TautologyError,
     normalize_clause,
 )
@@ -131,3 +142,34 @@ def test_formula_copy_is_independent():
     assert original.count((1, 2)) == 1
     assert clone.count((1, 2)) == 2
     assert original.clauses_with(1) == [(1, 2)]
+
+
+def test_value_classes_compare_and_hash_by_field():
+    clause = normalize_clause([2, -1])
+    assert clause == SourceClause((2, -1), (-1, 2))
+    assert clause != SourceClause((-1, 2), (-1, 2))
+    assert hash(clause) == hash(SourceClause(literals=(2, -1), canonical=(-1, 2)))
+    step = ProofStep(ADD, clause)
+    assert step == ProofStep(kind=ADD, clause=normalize_clause([2, -1]))
+    assert step != ProofStep(DELETE, clause)
+    assert len({step, ProofStep(ADD, normalize_clause([2, -1]))}) == 1
+    assert repr(step) == "ProofStep(kind='add', clause=SourceClause(literals=(2, -1), canonical=(-1, 2)))"
+    assert Proof([step]) == Proof(steps=[ProofStep(ADD, clause)])
+    assert Proof() == Proof([]) != Proof([step])
+    warning = DeletionWarning(3, WARN_UNIT_DELETION, clause)
+    assert warning == DeletionWarning(step=3, kind=WARN_UNIT_DELETION, clause=clause)
+    assert hash(warning) == hash(DeletionWarning(3, WARN_UNIT_DELETION, clause))
+    assert CheckReport(VERIFIED, step=2) == CheckReport(VERIFIED, [], 2)
+    assert CheckReport(VERIFIED) != CheckReport(REJECTED)
+    assert clause != (2, -1) and step != (ADD, clause)
+
+
+def test_check_reports_and_proofs_get_their_own_lists():
+    first, second = CheckReport(NO_EMPTY_CLAUSE), CheckReport(NO_EMPTY_CLAUSE)
+    first.warnings.append(DeletionWarning(1, WARN_UNIT_DELETION, normalize_clause([1])))
+    assert second.warnings == [] and CheckReport(VERIFIED).warnings == []
+    empty = Proof()
+    empty.steps.append(ProofStep(ADD, normalize_clause([])))
+    assert Proof().steps == []
+    with pytest.raises(TypeError):
+        hash(first)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,33 @@ def test_detect_encoding_cases():
     assert detect_encoding(b"") == PLAIN
     assert detect_encoding(b"  \n 1 0\n") == PLAIN
     assert detect_encoding(bytes([0x61, 0x02, 0x00])) == BINARY
+
+
+def test_detect_encoding_keeps_a_long_plain_proof_starting_with_d_plain():
+    text = b"\r\n d 1 2 0\n" + b"c comment\td\n-3 4 0\r\n" * 5000
+    assert detect_encoding(text) == PLAIN
+
+
+def test_detect_encoding_finds_a_late_non_text_byte():
+    # every byte is printable until the zero byte of the last record
+    data = b"d" + b"\x02\x04" * 5000 + b"\x00"
+    assert detect_encoding(data) == BINARY
+    assert detect_encoding(b" \n" + data) == BINARY
+    assert detect_encoding(b"1" + data) == PLAIN
+
+
+def test_serialize_binary_peak_memory_stays_small():
+    rng = random.Random(7)
+    signs = (1, -1)
+    proof = Proof([add_step([v * rng.choice(signs) for v in rng.sample(range(1, 200), 10)]) for _ in range(4000)])
+    tracemalloc.start()
+    try:
+        data = serialize_binary(proof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_binary_proof(data) == proof
+    assert peak < 2**20
 
 
 step_strategy = st.tuples(
