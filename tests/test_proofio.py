@@ -225,8 +225,12 @@ def test_detect_encoding_keeps_a_long_plain_proof_starting_with_d_plain():
 
 
 def test_detect_encoding_finds_a_late_non_text_byte():
-    # every byte is printable until the zero byte of the last record
-    data = b"d" + b"\x02\x04" * 5000 + b"\x00"
+    # one record of 48 literals whose codes are all printable bytes
+    record = b"a" + bytes(range(0x20, 0x7F, 2)) + b"\x00"
+    assert detect_encoding(record) == BINARY
+    assert len(parse_binary_proof(record).steps[0].clause) == 48
+    # only the last byte is neither 'a' nor 'd'
+    data = b"a" + b"da" * 5000 + b"\x00"
     assert detect_encoding(data) == BINARY
     assert detect_encoding(b" \n" + data) == BINARY
     assert detect_encoding(b"1" + data) == PLAIN
