@@ -12,6 +12,7 @@ from .model import (
     CheckReport,
     DeletionWarning,
     Formula,
+    Memo,
     Proof,
     SourceClause,
     format_clause,
@@ -19,17 +20,6 @@ from .model import (
 )
 
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
-
-
-class _Codes(dict):
-    """A dict that returns new(key) for a key it does not hold yet."""
-
-    def __init__(self, new):
-        super().__init__()
-        self.new = new
-
-    def __missing__(self, key):
-        return self.new(key)
 
 
 class CheckerState:
@@ -54,7 +44,7 @@ class CheckerState:
     def __init__(self, formula: Formula, trace=None):
         self.formula = formula.copy()
         self.trace = trace
-        self._code = _Codes(self._new_variable)  # signed literal -> code
+        self._code = Memo(self._new_variable)  # signed literal -> code
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[int]] = []  # by code: ids watching it
         # by code: ids containing it, oldest first; built by the first RAT stage

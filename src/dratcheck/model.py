@@ -42,6 +42,18 @@ def check_literal(lit: int) -> int:
     return lit
 
 
+class Memo(dict):
+    """A dict that fills a missing key with function(key), which may also fill other keys."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
 class _Value:
     """Equality, hash and repr by field, for classes whose __slots__ are their fields.
 

@@ -9,6 +9,7 @@ from .model import (
     DELETE,
     MAX_LITERAL,
     ClauseError,
+    Memo,
     Proof,
     ProofStep,
     SourceClause,
@@ -132,17 +133,6 @@ def parse_plain_proof(data) -> Proof:
     return Proof(steps)
 
 
-class _Memo(dict):
-    """A per-call cache of function(key)."""
-
-    def __init__(self, function):
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
-
-
 # A record is its prefix, its varints and a zero byte. A varint has at most
 # five bytes and may end in a zero byte only after a continuation byte.
 _RECORD = re.compile(rb"([ad])((?:[\x80-\xff]{1,4}[\x00-\x7f]|[\x01-\x7f])*)\x00")
@@ -151,12 +141,14 @@ _VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
 
 def parse_binary_proof(data: bytes) -> Proof:
     """Parse a binary DRAT proof: 0x61/0x64 prefix, varint codes, 0x00 terminator."""
-    literal = _Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
+    literal = Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
     steps: list[ProofStep] = []
     pos = 0
-    for record in _RECORD.finditer(data):
-        if record.start() != pos:
-            break
+    while pos < len(data):
+        # match at pos only: a search would retry at every later 'a'/'d' byte before failing
+        record = _RECORD.match(data, pos)
+        if record is None:
+            _raise_record_error(data, pos)
         prefix, body = record.groups()
         try:
             lits = [*map(literal, _VARINT.findall(body))]
@@ -168,8 +160,6 @@ def parse_binary_proof(data: bytes) -> Proof:
             raise ProofError(str(exc), offset=pos) from exc
         steps.append(ProofStep(ADD if prefix == b"a" else DELETE, clause))
         pos = record.end()
-    if pos < len(data):
-        _raise_record_error(data, pos)
     return Proof(steps)
 
 
@@ -198,7 +188,7 @@ def serialize_plain(proof: Proof) -> bytes:
 
 def serialize_binary(proof: Proof) -> bytes:
     """Write a proof in the binary encoding, bit-exact with parse_binary_proof."""
-    varint = _Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
+    varint = Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
     out = bytearray()
     for step in proof:
         # one join per record: joining the whole proof at once costs a buffer per literal

@@ -8,6 +8,8 @@ byte is located at the record start, a varint error at the varint's first
 byte, and an invalid literal code carries no offset.
 """
 
+import time
+
 import pytest
 
 from dratcheck import ADD, parse_binary_proof, parse_dimacs, parse_plain_proof
@@ -146,3 +148,21 @@ def test_binary_varint_may_end_in_zero_after_a_continuation_byte():
     # 82 00 is a non-minimal varint for code 2; the next 00 ends the record
     proof = parse_binary_proof(b"a\x82\x00\x00")
     assert [(step.kind, step.clause.literals) for step in proof] == [(ADD, (1,))]
+
+
+# Text proofs read as binary: thousands of 'd' bytes and no zero byte after
+# the first record. The error must come from one linear pass, not from a
+# regex attempt at every later 'd', which takes minutes on these inputs.
+LONG_BAD_RECORDS = [
+    (b"1" + b"d 1 2 0\n" * 50000, BadPrefixError, "record prefix 0x31 is neither 'a' nor 'd'", 0),
+    (b"d" + b" 1 2 0\nd" * 50000, TruncatedRecordError, "input ends inside a record (missing zero byte)", 0),
+    (b"a\x02\x00" * 50000 + b"x" + b"d\x02" * 50000, BadPrefixError,
+     "record prefix 0x78 is neither 'a' nor 'd'", 150000),
+]
+
+
+@pytest.mark.parametrize("data,error,message,offset", LONG_BAD_RECORDS)
+def test_binary_error_after_many_records_is_found_in_linear_time(data, error, message, offset):
+    start = time.perf_counter()
+    assert _raised(parse_binary_proof, data) == (error, message, 0, offset)
+    assert time.perf_counter() - start < 10

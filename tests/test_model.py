@@ -173,3 +173,14 @@ def test_check_reports_and_proofs_get_their_own_lists():
     assert Proof().steps == []
     with pytest.raises(TypeError):
         hash(first)
+
+
+def test_value_fields_are_assignable_and_hash_follows_them():
+    # plain __slots__ classes: assigning a field changes equality and hash,
+    # so a value held in a set or as a dict key must not be changed
+    clause = normalize_clause([1, 2])
+    step = ProofStep(ADD, clause)
+    step.clause = normalize_clause([3])
+    assert step == ProofStep(ADD, normalize_clause([3]))
+    assert hash(step) == hash(ProofStep(ADD, normalize_clause([3])))
+    assert step != ProofStep(ADD, clause)
