@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .model import (
-    DELETE,
     NO_EMPTY_CLAUSE,
     REJECTED,
     VERIFIED,
@@ -15,8 +14,10 @@ from .model import (
     Memo,
     Proof,
     SourceClause,
+    canonical_form,
     format_clause,
     normalize_clause,
+    step_records,
 )
 
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
@@ -296,27 +297,36 @@ def check_rat(formula: Formula, clause) -> bool:
     return ok
 
 
-def check_proof(formula: Formula, proof: Proof, trace=None) -> CheckReport:
-    """Replay a proof against a formula with forward checking.
+def check_records(formula: Formula, records, trace=None) -> CheckReport:
+    """Replay (delete, literals) records against a formula with forward checking.
 
-    Steps are numbered from 1. The first accepted addition of the empty
-    clause verifies the proof and later steps are ignored; the first failed
-    addition rejects it. Deletions never fail but may emit warnings.
+    Steps are numbered from 1. The first accepted addition of the empty clause
+    verifies the proof and the first failed addition rejects it; deletions never
+    fail but may warn. Later records are read, so an error in them wins over the verdict.
     """
     state = CheckerState(formula, trace=None)
     warnings: list[DeletionWarning] = []
-    for index, step in enumerate(proof, start=1):
+    report = CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)
+    records = iter(records)
+    for index, (delete, literals) in enumerate(records, start=1):
+        clause = SourceClause(tuple(literals), canonical_form(literals))
         if trace is not None:
             state.trace = lambda msg, i=index: trace("step %d: %s" % (i, msg))
-        if step.kind == DELETE:
-            warning = state.apply_delete(step.clause, index)
+        if delete:
+            warning = state.apply_delete(clause, index)
             if warning is not None:
                 warnings.append(warning)
             continue
-        rejection = state.apply_add(step.clause, index)
-        if rejection is not None:
-            rejection.warnings = warnings
-            return rejection
-        if not step.clause.canonical:
-            return CheckReport(VERIFIED, warnings=warnings, step=index)
-    return CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)
+        rejection = state.apply_add(clause, index)
+        if rejection is not None or not clause.canonical:
+            report = rejection or CheckReport(VERIFIED, step=index)
+            report.warnings = warnings
+            break
+    for _ in records:
+        pass
+    return report
+
+
+def check_proof(formula: Formula, proof: Proof, trace=None) -> CheckReport:
+    """Replay a proof against a formula with forward checking (see check_records)."""
+    return check_records(formula, step_records(proof), trace)

@@ -18,13 +18,13 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
-def _load_proof(path: str, encoding: str | None):
+def _open_proof(path: str, encoding: str | None):
     data = _read(path)
     if encoding is None:
         encoding = proofio.detect_encoding(data)
     if encoding == proofio.BINARY:
-        return proofio.parse_binary_proof(data), encoding, len(data)
-    return proofio.parse_plain_proof(data), encoding, len(data)
+        return proofio.binary_records(data), encoding, len(data)
+    return proofio.plain_records(data), encoding, len(data)
 
 
 def run_check(args) -> int:
@@ -35,16 +35,17 @@ def run_check(args) -> int:
         print("c error: %s: %s" % (args.formula, exc))
         return 2
     try:
-        proof, encoding, _ = _load_proof(args.proof, args.encoding)
-    except (OSError, ValueError) as exc:
+        records, encoding, _ = _open_proof(args.proof, args.encoding)
+        trace = None
+        if args.verbosity > 0:
+            # the first line needs the step count, and no trace may precede a parse error
+            records = list(records)
+            print("c parsed %s proof with %d steps" % (encoding, len(records)))
+            trace = lambda message: print("c " + message)
+        report = checker.check_records(formula, records, trace=trace)
+    except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2
-
-    trace = None
-    if args.verbosity > 0:
-        print("c parsed %s proof with %d steps" % (encoding, len(proof)))
-        trace = lambda message: print("c " + message)
-    report = checker.check_proof(formula, proof, trace=trace)
 
     if not quiet:
         for warning in report.warnings:
@@ -71,13 +72,14 @@ def run_check(args) -> int:
 
 
 def run_convert(args) -> int:
+    target = args.to
     try:
-        proof, encoding, in_bytes = _load_proof(args.proof, args.encoding)
-    except (OSError, ValueError) as exc:
+        records, encoding, in_bytes = _open_proof(args.proof, args.encoding)
+        # the whole input is read before the output is opened, so a parse error leaves it untouched
+        data = proofio.write_records(records, target)
+    except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2
-    target = args.to
-    data = proofio.serialize_binary(proof) if target == proofio.BINARY else proofio.serialize_plain(proof)
     try:
         with open(args.output, "wb") as handle:
             handle.write(data)

@@ -5,22 +5,11 @@ from __future__ import annotations
 import re
 
 from .lexer import Lines
-from .model import MAX_LITERAL, ClauseError, Formula, canonical_form
+from .model import MAX_LITERAL, ClauseError, Formula, LocatedError, canonical_form
 
 
-class DimacsError(ValueError):
+class DimacsError(LocatedError):
     """Invalid DIMACS input, with the 1-based line and byte offset."""
-
-    def __init__(self, message: str, line: int = 0, offset: int = 0):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.offset = offset
-
-    def __str__(self) -> str:
-        if self.line:
-            return "line %d, byte %d: %s" % (self.line, self.offset, self.message)
-        return self.message
 
 
 class HeaderError(DimacsError):

@@ -18,6 +18,21 @@ WARN_DELETED_MISSING = "deleted-clause-missing"
 WARN_UNIT_DELETION = "unit-deletion-ignored"
 
 
+class LocatedError(ValueError):
+    """Invalid input at a 1-based line and a 0-based byte offset, 0 when unknown."""
+
+    def __init__(self, message: str, line: int = 0, offset: int = 0):
+        super().__init__(message)
+        self.message, self.line, self.offset = message, line, offset
+
+    def __str__(self) -> str:
+        if self.line:
+            return "line %d, byte %d: %s" % (self.line, self.offset, self.message)
+        if self.offset:
+            return "byte %d: %s" % (self.offset, self.message)
+        return self.message
+
+
 class ClauseError(ValueError):
     """A clause violates the syntax restrictions."""
 
@@ -256,6 +271,12 @@ class Proof(_Value):
 
     def __iter__(self):
         return iter(self.steps)
+
+
+def step_records(proof: Proof):
+    """Yield (delete, literals) for each step of a proof, literals as written."""
+    for step in proof:
+        yield step.kind == DELETE, step.clause.literals
 
 
 class DeletionWarning(_Value):

@@ -9,41 +9,27 @@ from .model import (
     DELETE,
     MAX_LITERAL,
     ClauseError,
+    LocatedError,
     Memo,
     Proof,
     ProofStep,
     SourceClause,
     canonical_form,
     check_literal,
+    step_records,
 )
 from .lexer import Lines
 
 PLAIN = "plain"
 BINARY = "binary"
 
-ADD_PREFIX = 0x61  # 'a'
-DELETE_PREFIX = 0x64  # 'd'
-
 # Literal codes are bounded by map(-(2^31 - 1)) = 2^32 - 1, so any varint
 # payload past 32 bits is out of range.
 MAX_CODE = 2 * MAX_LITERAL + 1
 
 
-class ProofError(ValueError):
+class ProofError(LocatedError):
     """Invalid DRAT input; line/offset refer to the input buffer."""
-
-    def __init__(self, message: str, line: int = 0, offset: int = 0):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.offset = offset
-
-    def __str__(self) -> str:
-        if self.line:
-            return "line %d, byte %d: %s" % (self.line, self.offset, self.message)
-        if self.offset:
-            return "byte %d: %s" % (self.offset, self.message)
-        return self.message
 
 
 class TruncatedVarintError(ProofError):
@@ -86,21 +72,16 @@ def encode_varint(value: int) -> bytes:
     if value < 0:
         raise ValueError("varint value must be non-negative")
     out = bytearray()
-    while True:
-        group = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(group | 0x80)
-        else:
-            out.append(group)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode_varint(data, pos: int = 0) -> tuple[int, int]:
     """Decode one varint at pos; returns (value, bytes consumed)."""
-    value = 0
-    shift = 0
-    consumed = 0
+    value = shift = consumed = 0
     while True:
         if pos + consumed >= len(data):
             raise TruncatedVarintError("input ends inside a varint", offset=pos)
@@ -117,20 +98,19 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
     return value, consumed
 
 
-def parse_plain_proof(data) -> Proof:
-    """Parse a plain-text DRAT proof into ordered add/delete steps."""
+def plain_records(data):
+    """Yield (delete, literals) for each step of a plain-text proof once it has passed every check."""
     reader = Lines(data, ProofError)
-    steps: list[ProofStep] = []
     for delete, lits, where in reader.clauses(0, deletes=True):
-        try:
-            clause = SourceClause(tuple(lits), canonical_form(lits))
-        except ClauseError as exc:
-            raise reader.located(ProofError, str(exc), where) from exc
-        steps.append(ProofStep(DELETE if delete else ADD, clause))
+        if len(set(map(abs, lits))) != len(lits):
+            try:
+                canonical_form(lits)
+            except ClauseError as exc:
+                raise reader.located(ProofError, str(exc), where) from exc
+        yield delete, lits
     if reader.unterminated is not None:
         message = "end of input inside a proof step (missing terminating 0)"
         raise reader.located(ProofError, message, reader.unterminated)
-    return Proof(steps)
 
 
 # A record is its prefix, its varints and a zero byte. A varint has at most
@@ -139,62 +119,84 @@ _RECORD = re.compile(rb"([ad])((?:[\x80-\xff]{1,4}[\x00-\x7f]|[\x01-\x7f])*)\x00
 _VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
 
 
-def parse_binary_proof(data: bytes) -> Proof:
-    """Parse a binary DRAT proof: 0x61/0x64 prefix, varint codes, 0x00 terminator."""
+def binary_records(data: bytes):
+    """Yield (delete, literals) for each record of a binary proof once it has passed every check."""
     literal = Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
-    steps: list[ProofStep] = []
     pos = 0
     while pos < len(data):
         # match at pos only: a search would retry at every later 'a'/'d' byte before failing
         record = _RECORD.match(data, pos)
         if record is None:
             _raise_record_error(data, pos)
-        prefix, body = record.groups()
         try:
-            lits = [*map(literal, _VARINT.findall(body))]
+            lits = [*map(literal, _VARINT.findall(record[2]))]
         except ProofError:
             _raise_record_error(data, pos)
-        try:
-            clause = SourceClause(tuple(lits), canonical_form(lits))
-        except ClauseError as exc:
-            raise ProofError(str(exc), offset=pos) from exc
-        steps.append(ProofStep(ADD if prefix == b"a" else DELETE, clause))
+        if len(set(map(abs, lits))) != len(lits):
+            try:
+                canonical_form(lits)
+            except ClauseError as exc:
+                raise ProofError(str(exc), offset=pos) from exc
+        yield record[1] == b"d", lits
         pos = record.end()
-    return Proof(steps)
 
 
 def _raise_record_error(data, start: int):
     """Decode the record at start, which holds an error, byte by byte and raise its first error."""
-    if data[start] not in (ADD_PREFIX, DELETE_PREFIX):
+    if data[start] not in b"ad":
         raise BadPrefixError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=start)
     pos = start + 1
     while pos < len(data) and data[pos]:
         code, consumed = decode_varint(data, pos)
-        unmap_literal(code)
+        try:
+            unmap_literal(code)
+        except InvalidCodeError as exc:
+            exc.offset = pos
+            raise
         pos += consumed
     raise TruncatedRecordError("input ends inside a record (missing zero byte)", offset=start)
 
 
+def _proof(records) -> Proof:
+    return Proof([
+        ProofStep(DELETE if delete else ADD, SourceClause(tuple(lits), canonical_form(lits)))
+        for delete, lits in records
+    ])
+
+
+def parse_plain_proof(data) -> Proof:
+    """Parse a plain-text DRAT proof into ordered add/delete steps."""
+    return _proof(plain_records(data))
+
+
+def parse_binary_proof(data: bytes) -> Proof:
+    """Parse a binary DRAT proof: 0x61/0x64 prefix, varint codes, 0x00 terminator."""
+    return _proof(binary_records(data))
+
+
+def write_records(records, encoding: str) -> bytearray:
+    """(delete, literals) records in the encoding; plain text has one step per line, single spaces."""
+    if encoding == BINARY:
+        literal = Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
+        add, delete, end = b"a", b"d", b"\x00"
+    else:
+        literal = Memo(lambda lit: b"%d " % lit).__getitem__
+        add, delete, end = b"", b"d ", b"0\n"
+    out = bytearray()
+    for deleted, lits in records:
+        # one join per record: joining the whole proof at once costs a buffer per literal
+        out += (delete if deleted else add) + b"".join(map(literal, lits)) + end
+    return out
+
+
 def serialize_plain(proof: Proof) -> bytes:
     """Write a proof as plain text, one step per line, single spaces."""
-    lines = []
-    for step in proof:
-        fields = (["d"] if step.kind == DELETE else []) + [
-            str(l) for l in step.clause.literals
-        ] + ["0"]
-        lines.append(" ".join(fields))
-    return ("\n".join(lines) + "\n").encode("ascii") if lines else b""
+    return bytes(write_records(step_records(proof), PLAIN))
 
 
 def serialize_binary(proof: Proof) -> bytes:
     """Write a proof in the binary encoding, bit-exact with parse_binary_proof."""
-    varint = Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
-    out = bytearray()
-    for step in proof:
-        # one join per record: joining the whole proof at once costs a buffer per literal
-        out += (b"d" if step.kind == DELETE else b"a") + b"".join(map(varint, step.clause.literals))
-        out.append(0)
-    return bytes(out)
+    return bytes(write_records(step_records(proof), BINARY))
 
 
 _BLANKS = re.compile(rb"[ \t\n\r]*")

@@ -109,8 +109,8 @@ def parse_binary_naive(data):
     codes 0 and 1 are reserved. Raises NaiveBinaryError at the first error:
     at the record start for a bad prefix, a missing zero byte or a clause
     with a duplicate or complementary pair (the first pair by variable,
-    positive first); at the varint start for a truncated or overlong varint;
-    with no offset for a reserved code.
+    positive first); at the varint start for a truncated or overlong varint
+    or a reserved code.
     """
     steps = []
     pos = 0
@@ -147,7 +147,7 @@ def parse_binary_naive(data):
                 message = "varint value %d out of literal range" % code
                 raise NaiveBinaryError("VarintOverflowError", message, varint_start)
             if code < 2:
-                raise NaiveBinaryError("InvalidCodeError", "literal code %d is reserved" % code)
+                raise NaiveBinaryError("InvalidCodeError", "literal code %d is reserved" % code, varint_start)
             literals.append(code // 2 if code % 2 == 0 else -(code // 2))
         ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
         for a, b in zip(ordered, ordered[1:]):

@@ -14,6 +14,7 @@ from dratcheck import (
     CheckerState,
     Formula,
     Proof,
+    ProofError,
     add_step,
     check_at,
     check_proof,
@@ -281,6 +282,32 @@ def test_warnings_do_not_change_the_verdict(paper_formula, paper_proof):
     assert report.verdict == VERIFIED
     assert [w.kind for w in report.warnings] == [WARN_DELETED_MISSING, WARN_UNIT_DELETION]
     assert [w.step for w in report.warnings] == [1, 2]
+
+
+def test_deleting_the_reason_of_a_root_unit_is_not_ignored():
+    # (-1 2) is the reason for 2 under the unit (1), but only clauses of
+    # length 1 as written are protected from deletion: once it is gone,
+    # (2) is neither AT nor RAT, where drat-trim would ignore the deletion
+    formula = Formula.from_clauses([[1], [-1, 2], [-2, 3], [-3, -1]])
+    report = check_proof(formula, Proof([delete_step([-1, 2]), add_step([2])]))
+    assert report.verdict == REJECTED
+    assert report.step == 2
+    assert report.warnings == []
+
+
+@pytest.mark.parametrize("clauses,verdict", [([[1], [-1]], VERIFIED), ([[1, 2]], REJECTED)])
+def test_check_records_reads_the_records_after_the_verdict(clauses, verdict):
+    def records():
+        yield False, []
+        yield True, [1, 2]
+        raise ProofError("bad step", 3, 0)
+
+    checked = []
+    with pytest.raises(ProofError, match="bad step"):
+        checker_module.check_records(Formula.from_clauses(clauses), records(), trace=checked.append)
+    assert all(line.startswith("step 1: ") for line in checked)
+    report = checker_module.check_records(Formula.from_clauses(clauses), [(False, []), (True, [1, 2])])
+    assert (report.verdict, report.step, report.warnings) == (verdict, 1, [])
 
 
 def test_check_proof_does_not_mutate_the_input_formula(paper_formula, paper_proof):

@@ -1,5 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
 
+from dratcheck import parse_plain_proof, serialize_binary
 from dratcheck.cli import main
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_FORMULA, PAPER_PROOF
@@ -67,6 +71,40 @@ def test_check_warnings_are_comment_lines(paper_files, tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "s VERIFIED"
 
 
+def test_check_rejects_after_deleting_the_reason_of_a_root_unit(tmp_path, capsys):
+    # only clauses of length 1 as written are protected from deletion
+    formula = tmp_path / "chain.cnf"
+    formula.write_text("p cnf 3 4\n1 0\n-1 2 0\n-2 3 0\n-3 -1 0\n")
+    proof = tmp_path / "proof.drat"
+    proof.write_text("d -1 2 0\n2 0\n")
+    assert main(["check", str(formula), str(proof)]) == 1
+    assert capsys.readouterr().out == (
+        "c step 2: RAT check failed: (2)\nc   pivot 2, first failing resolvent (2 3)\ns NOT VERIFIED\n"
+    )
+
+
+# A parse error anywhere in the proof wins over the verdict and over any
+# warning: the proof is read to its end even after the deciding step.
+PARSE_ERROR_AFTER_A_VERDICT = [
+    # rejected at step 1 (the worked example has no units), malformed literal at step 3
+    (b"0\n-1 0\n1 x 0\n", "line 3, byte 9: malformed literal 'x'"),
+    # an accepted empty clause at step 4, then a record with the reserved code 1
+    (serialize_binary(parse_plain_proof(PAPER_PROOF)) + b"a\x01\x00", "byte 14: literal code 1 is reserved"),
+    # two deletion warnings, then a duplicate literal
+    (b"d 1 2 3 4 0\nd 2 0\n-1 0\n2 2 0\n", "line 4, byte 23: duplicate literal 2"),
+]
+
+
+@pytest.mark.parametrize("mode", [[], ["-q"], ["-v"]])
+@pytest.mark.parametrize("data,error", PARSE_ERROR_AFTER_A_VERDICT, ids=["rejected", "verified", "warned"])
+def test_parse_error_after_a_verdict_exits_2_with_only_the_error(paper_files, tmp_path, capsys, mode, data, error):
+    formula, _ = paper_files
+    proof = tmp_path / "late-error.drat"
+    proof.write_bytes(data)
+    assert main(["check", *mode, str(formula), str(proof)]) == 2
+    assert capsys.readouterr().out == "c error: %s: %s\n" % (proof, error)
+
+
 def test_check_parse_error_exits_2(tmp_path, capsys):
     formula = tmp_path / "broken.cnf"
     formula.write_text("p cnf oops\n")
@@ -92,8 +130,6 @@ def test_check_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_check_binary_proof_with_autodetection(paper_files, tmp_path, capsys):
-    from dratcheck import parse_plain_proof, serialize_binary
-
     formula, proof = paper_files
     binary = tmp_path / "proof.bdrat"
     binary.write_bytes(serialize_binary(parse_plain_proof(PAPER_PROOF)))
@@ -142,6 +178,42 @@ def test_convert_parse_error_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.bdrat"
     src.write_bytes(bytes([0x62, 0x00]))
     assert main(["convert", "--binary", str(src), "--to", "plain", "-o", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("target,data,error", [
+    ("binary", CONVERSION_PLAIN + b"1 x 0\n", "line 3, byte 28: malformed literal 'x'"),
+    ("plain", CONVERSION_BINARY + b"a\x02", "byte 12: input ends inside a record (missing zero byte)"),
+])
+def test_failed_convert_leaves_an_existing_output_unchanged(tmp_path, capsys, target, data, error):
+    src = tmp_path / "bad.proof"
+    src.write_bytes(data)
+    dst = tmp_path / "out.proof"
+    dst.write_bytes(b"earlier output\x00\n")
+    assert main(["convert", str(src), "--to", target, "-o", str(dst)]) == 2
+    assert capsys.readouterr().out == "c error: %s: %s\n" % (src, error)
+    assert dst.read_bytes() == b"earlier output\x00\n"
+
+
+@pytest.mark.parametrize("source,target", [("plain", "binary"), ("binary", "plain")])
+def test_convert_holds_the_input_and_output_not_the_steps(tmp_path, capsys, source, target):
+    rng = random.Random(5)
+    lines = []
+    for _ in range(40000):
+        lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 3000), rng.randint(1, 6))]
+        lines.append(("d " if rng.random() < 0.3 else "") + " ".join(map(str, lits + [0])))
+    plain = ("\n".join(lines) + "\n").encode()
+    src = tmp_path / ("in." + source)
+    src.write_bytes(plain if source == "plain" else serialize_binary(parse_plain_proof(plain)))
+    dst = tmp_path / ("out." + target)
+    tracemalloc.start()
+    try:
+        assert main(["convert", "--" + source, str(src), "--to", target, "-o", str(dst)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = src.stat().st_size + dst.stat().st_size
+    # the steps as objects would take over 10 MiB; input and output are about 1.5 MiB
+    assert peak < 2 * held + 2**20, (peak, held)
 
 
 def test_installed_entry_points(paper_files):

@@ -4,8 +4,8 @@ Lines are 1-based; offsets are 0-based byte positions in the input buffer.
 A clause error (duplicate or complementary literals) is located at the
 first token of its clause or step, a header error at the start of its line.
 Binary proofs have no lines: a clause error, a bad prefix or a missing zero
-byte is located at the record start, a varint error at the varint's first
-byte, and an invalid literal code carries no offset.
+byte is located at the record start, and a varint error or a reserved
+literal code at the varint's first byte.
 """
 
 import time
@@ -111,9 +111,9 @@ BINARY_CASES = [
     (b"d\x00a\x02\x80\x80\x80\x80\x10\x00", VarintOverflowError,
      "varint value 4294967296 out of literal range", 4),
     # reserved codes 0 (non-minimal 80 00) and 1
-    (b"a\x80\x00\x00", InvalidCodeError, "literal code 0 is reserved", 0),
-    (b"a\x01\x00", InvalidCodeError, "literal code 1 is reserved", 0),
-    (b"a\x02\x00d\x04\x01\x00", InvalidCodeError, "literal code 1 is reserved", 0),
+    (b"a\x80\x00\x00", InvalidCodeError, "literal code 0 is reserved", 1),
+    (b"a\x01\x00", InvalidCodeError, "literal code 1 is reserved", 1),
+    (b"a\x02\x00d\x04\x01\x00", InvalidCodeError, "literal code 1 is reserved", 5),
     # duplicate or tautology, at the record start
     (b"a\x02\x04\x02\x00", ProofError, "duplicate literal 1", 0),
     (b"a\x02\x03\x00", ProofError, "complementary literals 1 and -1", 0),
@@ -142,6 +142,20 @@ def test_proof_error_location(data, error, message, line, offset):
 @pytest.mark.parametrize("data,error,message,offset", BINARY_CASES)
 def test_binary_proof_error_location(data, error, message, offset):
     assert _raised(parse_binary_proof, data) == (error, message, 0, offset)
+
+
+def test_error_text_names_the_line_and_byte_when_known():
+    rows = [(parse_dimacs, *row) for row in DIMACS_CASES] + [(parse_plain_proof, *row) for row in PROOF_CASES]
+    rows += [(parse_binary_proof, data, error, message, 0, offset) for data, error, message, offset in BINARY_CASES]
+    for parse, data, _, message, line, offset in rows:
+        with pytest.raises((DimacsError, ProofError)) as info:
+            parse(data)
+        if line:
+            assert str(info.value) == "line %d, byte %d: %s" % (line, offset, message)
+        elif offset:
+            assert str(info.value) == "byte %d: %s" % (offset, message)
+        else:
+            assert str(info.value) == message
 
 
 def test_binary_varint_may_end_in_zero_after_a_continuation_byte():
