@@ -212,7 +212,7 @@ def test_convert_holds_the_input_and_output_not_the_steps(tmp_path, capsys, sour
     finally:
         tracemalloc.stop()
     held = src.stat().st_size + dst.stat().st_size
-    # the steps as objects would take over 10 MiB; input and output are about 1.5 MiB
+    # input and output are about 1.1 MiB; the steps as objects would add 10 MiB or more
     assert peak < 2 * held + 2**20, (peak, held)
 
 
