@@ -24,7 +24,7 @@ TRUE, FALSE, UNASSIGNED = 1, -1, 0
 
 
 class CheckerState:
-    """Mutable checking state: the evolving formula plus propagation structures.
+    """Mutable checking state: the clause multiset plus propagation structures.
 
     Variables are renumbered densely in the order they are first seen, and a
     literal of the i-th variable is held as the code 2i (positive) or 2i+1
@@ -32,18 +32,17 @@ class CheckerState:
     is a list indexed by code. Memory thus follows the number of distinct
     variables, not the largest literal value.
 
-    ``formula`` counts clause copies. Each distinct non-empty clause gets
-    one id while at least one copy is present; duplicate copies share it,
-    since propagation cannot tell them apart. An id holds the canonical
-    tuple, used for RAT candidates and trace text, and a code list whose two
-    watched literals sit in positions 0 and 1. Unit clauses are never
+    The formula given is only read. Each distinct non-empty clause gets one
+    id while at least one copy is present; duplicate copies share it, since
+    propagation cannot tell them apart. An id holds the canonical tuple, used
+    for RAT candidates and trace text, its copy count, and a code list whose
+    two watched literals sit in positions 0 and 1. Unit clauses are never
     watched, as unit deletions are ignored: their codes are asserted at the
     start of every propagation. Copies of the empty clause turn every
     propagation into a conflict.
     """
 
     def __init__(self, formula: Formula, trace=None):
-        self.formula = formula.copy()
         self.trace = trace
         self._code = Memo(self._new_variable)  # signed literal -> code
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
@@ -53,11 +52,11 @@ class CheckerState:
         self._clauses: list[tuple[int, ...] | None] = []  # by id: canonical clause
         self._lits: list[list[int] | None] = []  # by id: codes, watches first
         self._ids: dict[tuple[int, ...], int] = {}  # canonical clause -> id
+        self._copies: list[int] = []  # by id: number of copies present
         self._units: list[int] = []
         self._trail: list[int] = []
-        counts = self.formula._counts
-        self._empty_copies = counts.get((), 0)
-        self._attach(counts)
+        self._empty_copies = formula._counts.get((), 0)
+        self._attach(formula._counts)
 
     # -- clause bookkeeping ------------------------------------------------
 
@@ -74,19 +73,20 @@ class CheckerState:
     def _codes(self, literals) -> list[int]:
         return [*map(self._code.__getitem__, literals)]
 
-    def _attach(self, clauses) -> None:
-        # each clause has just gained its first copy; the empty clause is skipped
+    def _attach(self, counts) -> None:
+        # counts: clause -> copies, for clauses with none yet; the empty clause is skipped
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        add_clause, add_codes = self._clauses.append, self._lits.append
+        add_clause, add_codes, add_copies = self._clauses.append, self._lits.append, self._copies.append
         code_of = self._code.__getitem__
         cid = len(self._clauses)
-        for clause in clauses:
+        for clause, copies in counts.items():
             if not clause:
                 continue
             codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
             ids[clause] = cid
             add_clause(clause)
             add_codes(codes)
+            add_copies(copies)
             if occurs is not None:
                 for c in codes:
                     occurs[c].append(cid)
@@ -106,12 +106,18 @@ class CheckerState:
                     self._occurs[code].append(cid)
         return self._occurs
 
-    def _detach_copy(self, clause: tuple[int, ...]) -> None:
-        # one copy was removed from the formula; length-1 clauses never reach here
-        if len(clause) == 0:
-            self._empty_copies -= 1
-        elif self.formula.count(clause) == 0:
-            cid = self._ids.pop(clause)
+    def _detach_copy(self, clause: tuple[int, ...]) -> bool:
+        # remove one copy; False if none is present. Units never reach here
+        if not clause:
+            present = self._empty_copies > 0
+            self._empty_copies -= present
+            return present
+        cid = self._ids.get(clause)
+        if cid is None:
+            return False
+        self._copies[cid] -= 1
+        if not self._copies[cid]:
+            del self._ids[clause]
             codes = self._lits[cid]
             if self._occurs is not None:
                 for code in codes:
@@ -119,6 +125,7 @@ class CheckerState:
             self._watches[codes[0]].remove(cid)
             self._watches[codes[1]].remove(cid)
             self._clauses[cid] = self._lits[cid] = None
+        return True
 
     # -- unit propagation ----------------------------------------------------
 
@@ -242,9 +249,11 @@ class CheckerState:
                     pivot=pivot,
                     failed_resolvent=resolvent,
                 )
-            if clause.canonical not in self._ids:
-                self._attach([clause.canonical])
-        self.formula.add_clause(clause.canonical)
+            cid = self._ids.get(clause.canonical)
+            if cid is None:
+                self._attach({clause.canonical: 1})
+            else:
+                self._copies[cid] += 1
         return None
 
     def apply_delete(self, clause: SourceClause, step: int) -> DeletionWarning | None:
@@ -253,10 +262,9 @@ class CheckerState:
         if len(canonical) == 1:
             self._note("delete %s: unit clause, ignored", clause.literals)
             return DeletionWarning(step, WARN_UNIT_DELETION, clause)
-        if not self.formula.remove_clause(canonical):
+        if not self._detach_copy(canonical):
             self._note("delete %s: not in formula, ignored", clause.literals)
             return DeletionWarning(step, WARN_DELETED_MISSING, clause)
-        self._detach_copy(canonical)
         if clause.literals != canonical:
             self._note(
                 "delete %s: matched stored clause %s up to literal order",
@@ -267,8 +275,9 @@ class CheckerState:
             self._note("delete %s: removed one copy", clause.literals)
         return None
 
-    def clause_counts(self):
-        return self.formula.clause_counts()
+    def clause_counts(self) -> dict[tuple[int, ...], int]:
+        counts = {clause: self._copies[cid] for clause, cid in self._ids.items()}
+        return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:
         """Trace message % args, with tuple args written as clauses; the

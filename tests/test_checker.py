@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck import (
+    DELETE,
     NO_EMPTY_CLAUSE,
     REJECTED,
     VERIFIED,
@@ -156,7 +157,7 @@ def test_check_rat_agrees_with_slow_path_on_random_inputs():
 def test_apply_add_extends_the_formula():
     state = CheckerState(paper_f0())
     assert state.apply_add(normalize_clause([-1]), 1) is None
-    assert state.formula.count((-1,)) == 1
+    assert state.clause_counts().get((-1,), 0) == 1
 
 
 def test_apply_add_accepts_empty_clause_on_conflicting_formula():
@@ -169,7 +170,7 @@ def test_apply_add_rejects_empty_clause_without_conflict():
     rejection = state.apply_add(normalize_clause([]), 1)
     assert rejection is not None
     assert rejection.reason == "empty clause not AT"
-    assert state.formula.count(()) == 0
+    assert state.clause_counts().get((), 0) == 0
 
 
 def test_apply_add_rejects_non_rat_clause():
@@ -183,15 +184,15 @@ def test_apply_add_rejects_non_rat_clause():
     assert rejection.reason == "RAT check failed"
     assert rejection.pivot == 1
     assert rejection.failed_resolvent == (1,)
-    assert state.formula.count((1,)) == 0
+    assert state.clause_counts().get((1,), 0) == 0
 
 
 def test_apply_delete_removes_one_copy():
     state = CheckerState(Formula.from_clauses([[1, 2], [1, 2], [3, 4]]))
     assert state.apply_delete(normalize_clause([2, 1]), 1) is None
-    assert state.formula.count((1, 2)) == 1
+    assert state.clause_counts().get((1, 2), 0) == 1
     assert state.apply_delete(normalize_clause([1, 2]), 2) is None
-    assert state.formula.count((1, 2)) == 0
+    assert state.clause_counts().get((1, 2), 0) == 0
 
 
 def test_apply_delete_missing_clause_warns_and_keeps_formula():
@@ -318,6 +319,27 @@ def test_check_proof_does_not_mutate_the_input_formula(paper_formula, paper_proo
     first = check_proof(paper_formula, paper_proof)
     second = check_proof(paper_formula, paper_proof)
     assert first == second
+
+
+def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
+    # (5 6) is RAT vacuously and names variables the formula lacks
+    formula = Formula.from_clauses([[1, 2], [1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]])
+    before = (formula.clause_counts(), len(formula), formula.max_variable())
+    steps = [add_step([5, 6]), add_step([6, 5]), delete_step([2, 1]), delete_step([3, 4]),
+             add_step([2]), add_step([2]), add_step([])]
+    assert check_proof(formula, Proof(steps)).verdict == VERIFIED
+    assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
+
+    state = CheckerState(formula)
+    for number, step in enumerate(steps, start=1):
+        apply = state.apply_delete if step.kind == DELETE else state.apply_add
+        assert apply(step.clause, number) is None
+    assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
+    attributes = vars(state).values()
+    assert not any(isinstance(value, Formula) for value in attributes)
+    keyed_by_clauses = [value for value in attributes
+                        if isinstance(value, dict) and any(isinstance(key, tuple) for key in value)]
+    assert len(keyed_by_clauses) == 1
 
 
 def test_duplicate_addition_is_allowed_by_multiset_semantics(paper_formula):
@@ -468,6 +490,41 @@ def test_whole_proofs_agree_with_the_slow_path_replay():
         assert [w.step for w in report.warnings] == warned
         seen[verdict] = seen.get(verdict, 0) + 1
     assert min(seen.get(v, 0) for v in (VERIFIED, REJECTED, NO_EMPTY_CLAUSE)) >= 40
+
+
+def test_copy_counts_follow_a_naive_multiset_step_by_step():
+    rng = random.Random(61)
+    seen = dict.fromkeys(("duplicate add", "one of two deleted", "re-added", "empty copies"), 0)
+    for _ in range(400):
+        clauses, steps = random_replay_case(rng)
+        state = CheckerState(Formula.from_clauses(clauses))
+        naive = {}
+        for clause in clauses:
+            key = normalize_clause(clause).canonical
+            naive[key] = naive.get(key, 0) + 1
+        gone = set()
+        assert state.clause_counts() == naive
+        for number, (kind, lits) in enumerate(steps, start=1):
+            clause = normalize_clause(lits)
+            key = clause.canonical
+            present = naive.get(key, 0)
+            if kind == "d":
+                removed = state.apply_delete(clause, number) is None
+                assert removed == (len(key) != 1 and present > 0), (clauses, steps, number)
+                if removed:
+                    seen["one of two deleted"] += present == 2
+                    if present == 1:
+                        del naive[key]
+                        gone.add(key)
+                    else:
+                        naive[key] = present - 1
+            elif state.apply_add(clause, number) is None:
+                seen["duplicate add"] += present > 0
+                seen["re-added"] += key in gone and not present
+                naive[key] = present + 1
+            seen["empty copies"] += not key and naive.get(key, 0) != present
+            assert state.clause_counts() == naive, (clauses, steps, number)
+    assert min(seen.values()) >= 20, seen
 
 
 small_formula = st.lists(
