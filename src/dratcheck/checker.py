@@ -44,7 +44,9 @@ class CheckerState:
 
     def __init__(self, formula: Formula, trace=None):
         self.trace = trace
-        self._code = Memo(self._new_variable)  # signed literal -> code
+        # signed literal -> code; the Memo holds a bound method of self, the
+        # state's one reference cycle, which the command line leaves to the OS
+        self._code = Memo(self._new_variable)
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[int]] = []  # by code: ids watching it
         # by code: ids containing it, oldest first; built by the first RAT stage

@@ -7,7 +7,6 @@ Every diagnostic line starts with "c " so DIMACS-style tooling can filter it.
 from __future__ import annotations
 
 import argparse
-import sys
 
 from . import checker, dimacs, proofio
 from .model import REJECTED, WARN_UNIT_DELETION, format_clause
@@ -143,7 +142,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,7 @@ from dratcheck import (
 from dratcheck import checker as checker_module
 from dratcheck.oracle import brute_force_sat
 
-from conftest import PAPER_CLAUSES, random_clause_lits, random_clause_list, refutation_steps
+from conftest import PAPER_CLAUSES, random_clause_list, random_replay_case, refutation_steps
 from slowpath import check_rat_naive, propagate_naive, replay_naive
 
 
@@ -444,38 +444,6 @@ def test_checker_memory_does_not_grow_with_literal_values(line):
     # the lemma is RAT vacuously: no clause holds its negated pivot
     assert report.verdict == NO_EMPTY_CLAUSE
     assert peak < 2**20
-
-
-def random_replay_case(rng):
-    """A small formula and a proof mixing a refutation (when the formula has
-    one) with deletions of present, reordered, absent, unit and empty
-    clauses, duplicate and empty additions, and additions over variables
-    the formula lacks, up to the 31-bit limit."""
-    clauses = random_clause_list(rng, rng.randint(0, 12), max_var=5, min_len=1, max_len=3)
-    clauses += [()] * rng.choice((0, 0, 0, 0, 1, 2))
-    lemmas = refutation_steps([c for c in clauses if c], rng) or []
-    pool = list(clauses)
-    steps = []
-    for _ in range(rng.randint(0, 14)):
-        roll = rng.random()
-        if lemmas and roll < 0.35:
-            lits = lemmas.pop(0)
-        elif roll < 0.5:
-            lits = random_clause_lits(rng, max_var=7, min_len=0, max_len=3)
-        elif roll < 0.55:
-            lits = (rng.choice((-1, 1)) * rng.choice((9, 10**7, 2**31 - 1)), 1)
-        elif roll < 0.65 and pool:
-            lits = rng.choice(pool)  # a duplicate copy
-        else:
-            if pool and roll < 0.9:
-                source = rng.choice(pool)
-            else:
-                source = random_clause_lits(rng, max_var=6, min_len=0, max_len=3)
-            steps.append(("d", tuple(rng.sample(source, len(source)))))
-            continue
-        steps.append(("a", tuple(lits)))
-        pool.append(tuple(lits))
-    return clauses, steps + [("a", lits) for lits in lemmas]
 
 
 def test_whole_proofs_agree_with_the_slow_path_replay():

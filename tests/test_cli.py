@@ -1,5 +1,8 @@
+import gc
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +257,53 @@ def test_cli_import_leaves_out_dataclasses_and_the_oracle():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+# The process entry points run without the cyclic collector and freeze the
+# heap once main() returns (dratcheck/__main__.py); main() leaves both alone.
+ENTRY_POINT_SCRIPT = """
+import gc, importlib, runpy, sys
+sys.path.insert(0, %(source)r)
+sys.argv = ["dratcheck", *%(argv)r]
+print(gc.isenabled(), gc.get_freeze_count())
+try:
+    %(call)s
+except SystemExit as exit:
+    print(exit.code, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+def _console_script():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    return re.search(r'^dratcheck = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_process_entry_points_turn_the_collector_off_and_freeze_the_heap(paper_files, entry):
+    import subprocess
+    import sys
+
+    import dratcheck
+
+    formula, proof = paper_files
+    if entry == "python -m":
+        call = "runpy.run_module('dratcheck', run_name='__main__', alter_sys=True)"
+    else:
+        call = "sys.exit(getattr(importlib.import_module(%r), %r)())" % _console_script()
+    script = ENTRY_POINT_SCRIPT % {
+        "source": str(Path(dratcheck.__file__).parents[1]),
+        "argv": ["check", str(formula), str(proof)],
+        "call": call,
+    }
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["True 0", "s VERIFIED", "0 False True"]
+
+
+def test_main_leaves_the_collector_as_it_is(paper_files, tmp_path, capsys):
+    formula, proof = paper_files
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["check", "-v", str(formula), str(proof)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert main(["convert", str(proof), "--to", "binary", "-o", str(tmp_path / "proof.bdrat")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
