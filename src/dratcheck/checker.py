@@ -32,40 +32,46 @@ class CheckerState:
     is a list indexed by code. Memory thus follows the number of distinct
     variables, not the largest literal value.
 
-    The formula given is only read. Each distinct non-empty clause gets one
-    id while at least one copy is present; duplicate copies share it, since
-    propagation cannot tell them apart. An id holds the canonical tuple, used
-    for RAT candidates and trace text, its copy count, and a code list whose
-    two watched literals sit in positions 0 and 1. Unit clauses are never
+    Clauses come in through load, as canonical literal tuples, and a formula
+    given is only read. Each distinct non-empty clause gets one id while at
+    least one copy is present; duplicate copies share it, since propagation
+    cannot tell them apart. A clause is keyed by its codes in canonical
+    order, which are the ints held in ``_code``, so no parsed literal is
+    kept. An id holds that key, its copy count, and a code list whose two
+    watched literals sit in positions 0 and 1. Unit clauses are never
     watched, as unit deletions are ignored: their codes are asserted at the
     start of every propagation. Copies of the empty clause turn every
     propagation into a conflict.
     """
 
-    def __init__(self, formula: Formula, trace=None):
+    def __init__(self, formula: Formula | None = None, trace=None):
         self.trace = trace
         # signed literal -> code; the Memo holds a bound method of self, the
         # state's one reference cycle, which the command line leaves to the OS
         self._code = Memo(self._new_variable)
+        self._literal: list[int] = []  # by code: signed literal
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[int]] = []  # by code: ids watching it
         # by code: ids containing it, oldest first; built by the first RAT stage
         self._occurs: list[list[int]] | None = None
-        self._clauses: list[tuple[int, ...] | None] = []  # by id: canonical clause
+        self._clauses: list[tuple[int, ...] | None] = []  # by id: key, codes in canonical order
         self._lits: list[list[int] | None] = []  # by id: codes, watches first
-        self._ids: dict[tuple[int, ...], int] = {}  # canonical clause -> id
+        self._ids: dict[tuple[int, ...], int] = {}  # key -> id
         self._copies: list[int] = []  # by id: number of copies present
         self._units: list[int] = []
         self._trail: list[int] = []
-        self._empty_copies = formula._counts.get((), 0)
-        self._attach(formula._counts)
+        self._empty_copies = 0
+        if formula is not None:
+            self.load(formula.clauses())
 
     # -- clause bookkeeping ------------------------------------------------
 
     def _new_variable(self, lit: int) -> int:
         """Give the variable of lit, seen for the first time, its two codes."""
         first = len(self._values)
-        self._code[abs(lit)], self._code[-abs(lit)] = first, first + 1
+        var = abs(lit)
+        self._code[var], self._code[-var] = first, first + 1
+        self._literal += (var, -var)
         self._values += (UNASSIGNED, UNASSIGNED)
         self._watches += ([], [])
         if self._occurs is not None:
@@ -75,29 +81,35 @@ class CheckerState:
     def _codes(self, literals) -> list[int]:
         return [*map(self._code.__getitem__, literals)]
 
-    def _attach(self, counts) -> None:
-        # counts: clause -> copies, for clauses with none yet; the empty clause is skipped
+    def _literals(self, codes) -> tuple[int, ...]:
+        return tuple(map(self._literal.__getitem__, codes))
+
+    def load(self, clauses) -> None:
+        """Add one copy of each canonical clause, duplicates and the empty clause included."""
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        add_clause, add_codes, add_copies = self._clauses.append, self._lits.append, self._copies.append
+        add_key, add_codes, copies = self._clauses.append, self._lits.append, self._copies
         code_of = self._code.__getitem__
-        cid = len(self._clauses)
-        for clause, copies in counts.items():
+        for clause in clauses:
             if not clause:
+                self._empty_copies += 1
                 continue
-            codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
-            ids[clause] = cid
-            add_clause(clause)
-            add_codes(codes)
-            add_copies(copies)
+            key = tuple(map(code_of, clause))
+            cid = ids.get(key)
+            if cid is not None:
+                copies[cid] += 1
+                continue
+            ids[key] = cid = len(copies)
+            add_key(key)
+            add_codes([*key][:])  # a slice is allocated at its exact size
+            copies.append(1)
             if occurs is not None:
-                for c in codes:
-                    occurs[c].append(cid)
-            if len(codes) == 1:
-                units.append(codes[0])
+                for code in key:
+                    occurs[code].append(cid)
+            if len(key) == 1:
+                units.append(key[0])
             else:
-                watches[codes[0]].append(cid)
-                watches[codes[1]].append(cid)
-            cid += 1
+                watches[key[0]].append(cid)
+                watches[key[1]].append(cid)
 
     def _occurrences(self) -> list[list[int]]:
         """The occurrence lists, built in id order on first use."""
@@ -114,12 +126,13 @@ class CheckerState:
             present = self._empty_copies > 0
             self._empty_copies -= present
             return present
-        cid = self._ids.get(clause)
+        # a variable never seen is in no clause, and gets no codes here
+        cid = self._ids.get(tuple(map(self._code.get, clause)))
         if cid is None:
             return False
         self._copies[cid] -= 1
         if not self._copies[cid]:
-            del self._ids[clause]
+            del self._ids[self._clauses[cid]]
             codes = self._lits[cid]
             if self._occurs is not None:
                 for code in codes:
@@ -216,7 +229,7 @@ class CheckerState:
         self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
         own = set(clause.canonical)
         for cid in self._occurrences()[self._code[-pivot]]:
-            other = self._clauses[cid]
+            other = self._literals(self._clauses[cid])
             rest = [lit for lit in other if lit != -pivot]
             if any(-lit in own for lit in rest):
                 self._note("resolvent with %s is a tautology, trivially redundant", other)
@@ -239,7 +252,6 @@ class CheckerState:
             if not self.check_at(()):
                 return CheckReport(REJECTED, step=step, reason="empty clause not AT", clause=clause)
             self._note("empty clause has AT")
-            self._empty_copies += 1
         else:
             ok, pivot, resolvent = self.check_rat(clause)
             if not ok:
@@ -251,11 +263,7 @@ class CheckerState:
                     pivot=pivot,
                     failed_resolvent=resolvent,
                 )
-            cid = self._ids.get(clause.canonical)
-            if cid is None:
-                self._attach({clause.canonical: 1})
-            else:
-                self._copies[cid] += 1
+        self.load((clause.canonical,))
         return None
 
     def apply_delete(self, clause: SourceClause, step: int) -> DeletionWarning | None:
@@ -278,7 +286,7 @@ class CheckerState:
         return None
 
     def clause_counts(self) -> dict[tuple[int, ...], int]:
-        counts = {clause: self._copies[cid] for clause, cid in self._ids.items()}
+        counts = {self._literals(key): self._copies[cid] for key, cid in self._ids.items()}
         return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:
@@ -308,14 +316,14 @@ def check_rat(formula: Formula, clause) -> bool:
     return ok
 
 
-def check_records(formula: Formula, records, trace=None) -> CheckReport:
-    """Replay (delete, literals) records against a formula with forward checking.
+def check_records(state: CheckerState, records, trace=None) -> CheckReport:
+    """Replay (delete, literals) records against a checker state with forward checking.
 
-    Steps are numbered from 1. The first accepted addition of the empty clause
-    verifies the proof and the first failed addition rejects it; deletions never
-    fail but may warn. Later records are read, so an error in them wins over the verdict.
+    The state is changed in place. Steps are numbered from 1. The first accepted
+    addition of the empty clause verifies the proof and the first failed addition
+    rejects it; deletions never fail but may warn. Later records are read, so an
+    error in them wins over the verdict.
     """
-    state = CheckerState(formula, trace=None)
     warnings: list[DeletionWarning] = []
     report = CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)
     records = iter(records)
@@ -340,4 +348,4 @@ def check_records(formula: Formula, records, trace=None) -> CheckReport:
 
 def check_proof(formula: Formula, proof: Proof, trace=None) -> CheckReport:
     """Replay a proof against a formula with forward checking (see check_records)."""
-    return check_records(formula, step_records(proof), trace)
+    return check_records(CheckerState(formula), step_records(proof), trace)

@@ -29,7 +29,9 @@ def _open_proof(path: str, encoding: str | None):
 def run_check(args) -> int:
     quiet = args.verbosity < 0
     try:
-        formula = dimacs.parse_dimacs(_read(args.formula))
+        # clauses go straight into the checker's store, so no Formula is built
+        state = checker.CheckerState()
+        state.load(dimacs.clause_records(_read(args.formula)))
     except (OSError, ValueError) as exc:
         print("c error: %s: %s" % (args.formula, exc))
         return 2
@@ -41,7 +43,7 @@ def run_check(args) -> int:
             records = list(records)
             print("c parsed %s proof with %d steps" % (encoding, len(records)))
             trace = lambda message: print("c " + message)
-        report = checker.check_records(formula, records, trace=trace)
+        report = checker.check_records(state, records, trace=trace)
     except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2

@@ -55,33 +55,42 @@ def _parse_header(reader: Lines):
     raise HeaderError("no 'p cnf' header found")
 
 
-def parse_dimacs(data) -> Formula:
-    """Parse a DIMACS CNF formula.
+def clause_records(data, header=None):
+    """Yield each clause copy of a DIMACS CNF formula in canonical order.
 
-    Duplicate clauses are kept as separate copies. Comment lines are
-    skipped anywhere; blanks are space, tab, newline and a carriage return
-    before a newline, so a clause may span lines and several clauses may
-    share one line.
+    Comment lines are skipped anywhere; blanks are space, tab, newline and a
+    carriage return before a newline, so a clause may span lines and several
+    clauses may share one line. Errors are raised in input order, and the
+    header's clause count is checked last. A header list, if given, receives
+    the declared variable and clause counts.
     """
     reader = Lines(data, DimacsError, LiteralOverflowError, VarOutOfRangeError)
     var_max, num_cls, body = _parse_header(reader)
-    counts: dict[tuple[int, ...], int] = {}
-    get = counts.get
+    if header is not None:
+        header += var_max, num_cls
+    found = 0
     for _, lits, where in reader.clauses(body, var_max):
         try:
             clause = canonical_form(lits)
         except ClauseError as exc:
             raise reader.located(DimacsError, str(exc), where) from exc
-        counts[clause] = get(clause, 0) + 1
+        found += 1
+        yield clause
     if reader.unterminated is not None:
         message = "end of input inside a clause (missing terminating 0)"
         raise reader.located(UnterminatedClauseError, message, reader.unterminated)
-    formula = Formula.from_counts(counts, var_max, num_cls)
-    if len(formula) != num_cls:
-        raise ClauseCountError(
-            "header declares %d clauses but %d were found" % (num_cls, len(formula))
-        )
-    return formula
+    if found != num_cls:
+        raise ClauseCountError("header declares %d clauses but %d were found" % (num_cls, found))
+
+
+def parse_dimacs(data) -> Formula:
+    """Parse a DIMACS CNF formula (see clause_records); duplicate clauses are separate copies."""
+    header: list[int] = []
+    counts: dict[tuple[int, ...], int] = {}
+    get = counts.get
+    for clause in clause_records(data, header):
+        counts[clause] = get(clause, 0) + 1
+    return Formula.from_counts(counts, *header)
 
 
 def write_dimacs(formula: Formula) -> str:

@@ -27,6 +27,7 @@ from dratcheck import (
     propagate,
 )
 from dratcheck import checker as checker_module
+from dratcheck.dimacs import clause_records
 from dratcheck.oracle import brute_force_sat
 
 from conftest import PAPER_CLAUSES, random_clause_list, random_replay_case, refutation_steps
@@ -305,9 +306,11 @@ def test_check_records_reads_the_records_after_the_verdict(clauses, verdict):
 
     checked = []
     with pytest.raises(ProofError, match="bad step"):
-        checker_module.check_records(Formula.from_clauses(clauses), records(), trace=checked.append)
+        state = CheckerState(Formula.from_clauses(clauses))
+        checker_module.check_records(state, records(), trace=checked.append)
     assert all(line.startswith("step 1: ") for line in checked)
-    report = checker_module.check_records(Formula.from_clauses(clauses), [(False, []), (True, [1, 2])])
+    state = CheckerState(Formula.from_clauses(clauses))
+    report = checker_module.check_records(state, [(False, []), (True, [1, 2])])
     assert (report.verdict, report.step, report.warnings) == (verdict, 1, [])
 
 
@@ -493,6 +496,63 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
             seen["empty copies"] += not key and naive.get(key, 0) != present
             assert state.clause_counts() == naive, (clauses, steps, number)
     assert min(seen.values()) >= 20, seen
+
+
+# -- the command line's store: DIMACS clauses loaded straight into the checker --
+
+
+def loaded_state(text):
+    """The state the command line checks against: no Formula in between."""
+    state = CheckerState()
+    state.load(clause_records(text))
+    return state
+
+
+def dimacs_text(clauses):
+    variables = max((abs(lit) for clause in clauses for lit in clause), default=0)
+    lines = ["p cnf %d %d" % (variables, len(clauses))]
+    return "\n".join(lines + [" ".join(map(str, (*clause, 0))) for clause in clauses]) + "\n"
+
+
+def test_loaded_store_equals_the_formula_store_step_by_step():
+    rng = random.Random(73)
+    seen = dict.fromkeys(("permuted duplicate", "unit", "empty", "deleted copy", REJECTED, VERIFIED), 0)
+    for _ in range(300):
+        clauses, steps = random_replay_case(rng)
+        for clause in rng.sample(clauses, min(len(clauses), rng.randint(0, 3))):
+            clauses.insert(rng.randint(0, len(clauses)), tuple(rng.sample(clause, len(clause))))
+            seen["permuted duplicate"] += len(clause) > 1
+        seen["unit"] += any(len(clause) == 1 for clause in clauses)
+        seen["empty"] += () in clauses
+        text = dimacs_text(clauses)
+        from_formula, loaded = CheckerState(parse_dimacs(text)), loaded_state(text)
+        assert loaded.clause_counts() == from_formula.clause_counts() == parse_dimacs(text).clause_counts()
+        records = [(kind == "d", lits) for kind, lits in steps]
+        report = checker_module.check_records(loaded_state(text), records)
+        proof = Proof([(delete_step if delete else add_step)(lits) for delete, lits in records])
+        assert report == check_proof(parse_dimacs(text), proof)
+        seen[report.verdict] = seen.get(report.verdict, 0) + 1
+        for number, (delete, lits) in enumerate(records, start=1):
+            clause = normalize_clause(lits)
+            outcomes = [(state.apply_delete if delete else state.apply_add)(clause, number)
+                        for state in (from_formula, loaded)]
+            assert outcomes[0] == outcomes[1], (clauses, steps, number)
+            assert loaded.clause_counts() == from_formula.clause_counts(), (clauses, steps, number)
+            seen["deleted copy"] += delete and outcomes[0] is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_deleting_a_clause_with_an_unseen_variable_creates_no_variable():
+    state = loaded_state("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    variables = len(state._values)
+    trace = []
+    state.trace = trace.append
+    for number, lits in enumerate(([1, 4], [2**31 - 1, -2], [9, 10**7, 3]), start=1):
+        warning = state.apply_delete(normalize_clause(lits), number)
+        assert warning is not None and warning.kind == WARN_DELETED_MISSING
+    assert len(state._values) == variables
+    assert state.clause_counts() == {(1, 2): 1, (-2, 3): 1}
+    assert trace[0] == "delete (1 4): not in formula, ignored"
 
 
 small_formula = st.lists(

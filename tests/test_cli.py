@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dratcheck import parse_plain_proof, serialize_binary
+from dratcheck import checker, model, parse_plain_proof, serialize_binary
 from dratcheck.cli import main
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_FORMULA, PAPER_PROOF
@@ -124,6 +124,51 @@ def test_check_proof_literal_error_exits_2_with_its_location(paper_files, tmp_pa
     proof.write_bytes(b"1 0\n1 x 0\n")
     assert main(["check", str(formula), str(proof)]) == 2
     assert capsys.readouterr().out == "c error: %s: line 2, byte 6: malformed literal 'x'\n" % proof
+
+
+def test_check_bad_formula_with_missing_proof_exits_2_naming_the_formula(tmp_path, capsys):
+    formula = tmp_path / "broken.cnf"
+    formula.write_text("p cnf 2 1\n1 -3 0\n")
+    assert main(["check", str(formula), str(tmp_path / "missing.drat")]) == 2
+    assert capsys.readouterr().out == (
+        "c error: %s: line 2, byte 12: literal -3 exceeds declared maximum variable 2\n" % formula
+    )
+
+
+def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkeypatch, capsys):
+    # literals above 256 and over 128 variables, so that neither the parsed
+    # literals nor most codes are CPython's cached small ints
+    rng = random.Random(83)
+    variables = rng.sample(range(1000, 10**6), 300)
+    lines = [" ".join("%d" % (v * rng.choice((1, -1))) for v in rng.sample(variables, 3)) + " 0"
+             for _ in range(900)]
+    lines += [rng.choice(lines) for _ in range(100)] + ["%d 0" % variables[0]]
+    formula = tmp_path / "formula.cnf"
+    formula.write_text("p cnf %d %d\n%s\n" % (10**6, len(lines), "\n".join(lines)))
+    proof = tmp_path / "proof.drat"
+    proof.write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Formula was built")
+
+    states = []
+    check_records = checker.check_records
+
+    def capture(state, records, trace=None):
+        states.append(state)
+        return check_records(state, records, trace)
+
+    monkeypatch.setattr(model.Formula, "__init__", refuse)
+    monkeypatch.setattr(checker, "check_records", capture)
+    assert main(["check", str(formula), str(proof)]) == 1
+    (state,) = states
+    assert type(state) is checker.CheckerState and len(state._values) == 600
+    memo = {id(code) for code in state._code.values()}
+    held = [code for key in state._clauses for code in key]
+    held += [code for codes in state._lits for code in codes]
+    assert len(held) == 2 * (3 * len(state._clauses) - 2)
+    assert all(id(code) in memo for code in held)
+    assert set(map(id, state._ids)) == set(map(id, state._clauses))
 
 
 def test_check_missing_file_exits_2(tmp_path, capsys):

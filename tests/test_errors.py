@@ -13,6 +13,8 @@ import time
 import pytest
 
 from dratcheck import ADD, parse_binary_proof, parse_dimacs, parse_plain_proof
+from dratcheck.checker import CheckerState
+from dratcheck.cli import main
 from dratcheck.dimacs import (
     ClauseCountError,
     DimacsError,
@@ -20,6 +22,7 @@ from dratcheck.dimacs import (
     LiteralOverflowError,
     UnterminatedClauseError,
     VarOutOfRangeError,
+    clause_records,
 )
 from dratcheck.proofio import (
     BadPrefixError,
@@ -128,9 +131,24 @@ def _raised(parse, data):
     return type(exc), exc.message, exc.line, exc.offset
 
 
+def load_into_the_checker(data):
+    """The command line's formula reader: no Formula is built."""
+    CheckerState().load(clause_records(data))
+
+
 @pytest.mark.parametrize("data,error,message,line,offset", DIMACS_CASES)
 def test_dimacs_error_location(data, error, message, line, offset):
-    assert _raised(parse_dimacs, data) == (error, message, line, offset)
+    for read in (parse_dimacs, load_into_the_checker):
+        assert _raised(read, data) == (error, message, line, offset), read.__name__
+
+
+@pytest.mark.parametrize("data,error,message,line,offset", DIMACS_CASES)
+def test_dimacs_error_through_the_command_line(tmp_path, capsys, data, error, message, line, offset):
+    formula = tmp_path / "formula.cnf"
+    formula.write_bytes(data)
+    # the proof does not exist: a DIMACS error must end the run before it is opened
+    assert main(["check", str(formula), str(tmp_path / "missing.drat")]) == 2
+    assert capsys.readouterr().out == "c error: %s: %s\n" % (formula, error(message, line, offset))
 
 
 @pytest.mark.parametrize("data,error,message,line,offset", PROOF_CASES)

@@ -97,7 +97,9 @@ def test_checking_makes_no_cycle_beyond_the_checker_state(encoding):
     for formula, steps, verdict in cases:
         lines = []
         data = plain_bytes(steps)
-        report, garbage = cyclic_garbage(lambda: check_records(formula, records(encoding, data), trace=lines.append))
+        report, garbage = cyclic_garbage(
+            lambda: check_records(CheckerState(formula), records(encoding, data), trace=lines.append)
+        )
         assert verdict in (None, report.verdict)
         states = [obj for obj in garbage if type(obj) is CheckerState]
         assert len(states) == 1, [type(obj).__name__ for obj in garbage[:20]]
