@@ -1,8 +1,6 @@
 """dratcheck: forward DRAT proof checking and plain/binary proof conversion."""
 
 from .model import (
-    ADD,
-    DELETE,
     MAX_LITERAL,
     NO_EMPTY_CLAUSE,
     REJECTED,
@@ -10,26 +8,19 @@ from .model import (
     WARN_DELETED_MISSING,
     WARN_UNIT_DELETION,
     CheckReport,
-    ClauseError,
     DeletionWarning,
-    DuplicateLiteralError,
     Formula,
-    LiteralRangeError,
     Proof,
     ProofStep,
     SourceClause,
-    TautologyError,
     add_step,
     delete_step,
     normalize_clause,
 )
-from .dimacs import DimacsError, parse_dimacs, write_dimacs
+from .dimacs import DimacsError, parse_dimacs
 from .proofio import (
-    BINARY,
-    PLAIN,
     ProofError,
     decode_varint,
-    detect_encoding,
     encode_varint,
     map_literal,
     parse_binary_proof,
@@ -38,50 +29,37 @@ from .proofio import (
     serialize_plain,
     unmap_literal,
 )
-from .checker import CheckerState, check_at, check_proof, check_rat, propagate
+from .checker import CheckerState, check_proof
 
 __all__ = [
-    "ADD",
-    "BINARY",
-    "DELETE",
     "MAX_LITERAL",
     "NO_EMPTY_CLAUSE",
-    "PLAIN",
     "REJECTED",
     "VERIFIED",
     "WARN_DELETED_MISSING",
     "WARN_UNIT_DELETION",
     "CheckReport",
     "CheckerState",
-    "ClauseError",
     "DeletionWarning",
     "DimacsError",
-    "DuplicateLiteralError",
     "Formula",
-    "LiteralRangeError",
     "Proof",
     "ProofError",
     "ProofStep",
     "SourceClause",
-    "TautologyError",
     "add_step",
-    "check_at",
     "check_proof",
-    "check_rat",
     "decode_varint",
     "delete_step",
-    "detect_encoding",
     "encode_varint",
     "map_literal",
     "normalize_clause",
     "parse_binary_proof",
     "parse_dimacs",
     "parse_plain_proof",
-    "propagate",
     "serialize_binary",
     "serialize_plain",
     "unmap_literal",
-    "write_dimacs",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ from .model import (
     SourceClause,
     canonical_form,
     format_clause,
-    normalize_clause,
     step_records,
 )
 
@@ -37,15 +36,15 @@ class CheckerState:
     least one copy is present; duplicate copies share it, since propagation
     cannot tell them apart. A clause is keyed by its codes in canonical
     order, which are the ints held in ``_code``, so no parsed literal is
-    kept. An id holds that key, its copy count, and a code list whose two
-    watched literals sit in positions 0 and 1. Unit clauses are never
-    watched, as unit deletions are ignored: their codes are asserted at the
-    start of every propagation. Copies of the empty clause turn every
-    propagation into a conflict.
+    kept. An id holds its copy count and a code list whose two watched
+    literals sit in positions 0 and 1. Unit clauses are never watched, as
+    unit deletions are ignored: their codes are asserted at the start of
+    every propagation. Copies of the empty clause turn every propagation
+    into a conflict.
     """
 
-    def __init__(self, formula: Formula | None = None, trace=None):
-        self.trace = trace
+    def __init__(self, formula: Formula | None = None):
+        self.trace = None
         # signed literal -> code; the Memo holds a bound method of self, the
         # state's one reference cycle, which the command line leaves to the OS
         self._code = Memo(self._new_variable)
@@ -54,7 +53,6 @@ class CheckerState:
         self._watches: list[list[int]] = []  # by code: ids watching it
         # by code: ids containing it, oldest first; built by the first RAT stage
         self._occurs: list[list[int]] | None = None
-        self._clauses: list[tuple[int, ...] | None] = []  # by id: key, codes in canonical order
         self._lits: list[list[int] | None] = []  # by id: codes, watches first
         self._ids: dict[tuple[int, ...], int] = {}  # key -> id
         self._copies: list[int] = []  # by id: number of copies present
@@ -87,7 +85,7 @@ class CheckerState:
     def load(self, clauses) -> None:
         """Add one copy of each canonical clause, duplicates and the empty clause included."""
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        add_key, add_codes, copies = self._clauses.append, self._lits.append, self._copies
+        add_codes, copies = self._lits.append, self._copies
         code_of = self._code.__getitem__
         for clause in clauses:
             if not clause:
@@ -99,7 +97,6 @@ class CheckerState:
                 copies[cid] += 1
                 continue
             ids[key] = cid = len(copies)
-            add_key(key)
             add_codes([*key][:])  # a slice is allocated at its exact size
             copies.append(1)
             if occurs is not None:
@@ -127,19 +124,20 @@ class CheckerState:
             self._empty_copies -= present
             return present
         # a variable never seen is in no clause, and gets no codes here
-        cid = self._ids.get(tuple(map(self._code.get, clause)))
+        key = tuple(map(self._code.get, clause))
+        cid = self._ids.get(key)
         if cid is None:
             return False
         self._copies[cid] -= 1
         if not self._copies[cid]:
-            del self._ids[self._clauses[cid]]
+            del self._ids[key]
             codes = self._lits[cid]
             if self._occurs is not None:
                 for code in codes:
                     self._occurs[code].remove(cid)
             self._watches[codes[0]].remove(cid)
             self._watches[codes[1]].remove(cid)
-            self._clauses[cid] = self._lits[cid] = None
+            self._lits[cid] = None
         return True
 
     # -- unit propagation ----------------------------------------------------
@@ -229,7 +227,7 @@ class CheckerState:
         self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
         own = set(clause.canonical)
         for cid in self._occurrences()[self._code[-pivot]]:
-            other = self._literals(self._clauses[cid])
+            other = tuple(sorted(self._literals(self._lits[cid]), key=abs))
             rest = [lit for lit in other if lit != -pivot]
             if any(-lit in own for lit in rest):
                 self._note("resolvent with %s is a tautology, trivially redundant", other)
@@ -296,53 +294,36 @@ class CheckerState:
             self.trace(message % tuple(format_clause(a) if isinstance(a, tuple) else a for a in args))
 
 
-def propagate(formula: Formula, assumptions=()) -> bool:
-    """Unit propagation on a formula under assumptions; True means conflict."""
-    return CheckerState(formula).propagate(list(assumptions))
-
-
-def check_at(formula: Formula, literals) -> bool:
-    """Asymmetric tautology test for a duplicate-free, non-tautological clause."""
-    return CheckerState(formula).check_at(tuple(literals))
-
-
-def check_rat(formula: Formula, clause) -> bool:
-    """Resolution asymmetric tautology test; pivot is the first written literal."""
-    if not isinstance(clause, SourceClause):
-        clause = normalize_clause(clause)
-    if not clause.canonical:
-        raise ValueError("RAT is undefined for the empty clause; use check_at")
-    ok, _, _ = CheckerState(formula).check_rat(clause)
-    return ok
-
-
 def check_records(state: CheckerState, records, trace=None) -> CheckReport:
     """Replay (delete, literals) records against a checker state with forward checking.
 
     The state is changed in place. Steps are numbered from 1. The first accepted
     addition of the empty clause verifies the proof and the first failed addition
     rejects it; deletions never fail but may warn. Later records are read, so an
-    error in them wins over the verdict.
+    error in them wins over the verdict. A trace is set on the state for this call only.
     """
     warnings: list[DeletionWarning] = []
     report = CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)
     records = iter(records)
-    for index, (delete, literals) in enumerate(records, start=1):
-        clause = SourceClause(tuple(literals), canonical_form(literals))
-        if trace is not None:
-            state.trace = lambda msg, i=index: trace("step %d: %s" % (i, msg))
-        if delete:
-            warning = state.apply_delete(clause, index)
-            if warning is not None:
-                warnings.append(warning)
-            continue
-        rejection = state.apply_add(clause, index)
-        if rejection is not None or not clause.canonical:
-            report = rejection or CheckReport(VERIFIED, step=index)
-            report.warnings = warnings
-            break
-    for _ in records:
-        pass
+    try:
+        for index, (delete, literals) in enumerate(records, start=1):
+            clause = SourceClause(tuple(literals), canonical_form(literals))
+            if trace is not None:
+                state.trace = lambda msg, i=index: trace("step %d: %s" % (i, msg))
+            if delete:
+                warning = state.apply_delete(clause, index)
+                if warning is not None:
+                    warnings.append(warning)
+                continue
+            rejection = state.apply_add(clause, index)
+            if rejection is not None or not clause.canonical:
+                report = rejection or CheckReport(VERIFIED, step=index)
+                report.warnings = warnings
+                break
+        for _ in records:
+            pass
+    finally:
+        state.trace = None
     return report
 
 

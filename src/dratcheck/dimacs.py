@@ -1,4 +1,4 @@
-"""DIMACS CNF parsing and writing."""
+"""DIMACS CNF parsing."""
 
 from __future__ import annotations
 
@@ -92,11 +92,3 @@ def parse_dimacs(data) -> Formula:
         counts[clause] = get(clause, 0) + 1
     return Formula.from_counts(counts, *header)
 
-
-def write_dimacs(formula: Formula) -> str:
-    """Serialize a formula back to DIMACS (canonical literal order)."""
-    var_max = max(formula.declared_vars, formula.max_variable())
-    lines = ["p cnf %d %d" % (var_max, len(formula))]
-    for clause in formula.clauses():
-        lines.append(" ".join(str(l) for l in clause + (0,)))
-    return "\n".join(lines) + "\n"

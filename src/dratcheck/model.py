@@ -19,16 +19,16 @@ WARN_UNIT_DELETION = "unit-deletion-ignored"
 
 
 class LocatedError(ValueError):
-    """Invalid input at a 1-based line and a 0-based byte offset, 0 when unknown."""
+    """Invalid input at a 1-based line, 0 if none, and a 0-based byte offset, None if unknown."""
 
-    def __init__(self, message: str, line: int = 0, offset: int = 0):
+    def __init__(self, message: str, line: int = 0, offset: int | None = None):
         super().__init__(message)
         self.message, self.line, self.offset = message, line, offset
 
     def __str__(self) -> str:
         if self.line:
             return "line %d, byte %d: %s" % (self.line, self.offset, self.message)
-        if self.offset:
+        if self.offset is not None:
             return "byte %d: %s" % (self.offset, self.message)
         return self.message
 
@@ -157,13 +157,14 @@ class Formula:
         self.declared_clauses = declared_clauses
         self._counts: dict[tuple[int, ...], int] = {}
         self._size = 0
-        self._max_var = 0
 
     @classmethod
     def from_clauses(cls, clause_literals, declared_vars=None, declared_clauses=None) -> "Formula":
-        formula = cls()
+        counts: dict[tuple[int, ...], int] = {}
         for lits in clause_literals:
-            formula.add_clause(normalize_clause(lits).canonical)
+            clause = normalize_clause(lits).canonical
+            counts[clause] = counts.get(clause, 0) + 1
+        formula = cls.from_counts(counts)
         formula.declared_vars = formula.max_variable() if declared_vars is None else declared_vars
         formula.declared_clauses = len(formula) if declared_clauses is None else declared_clauses
         return formula
@@ -174,15 +175,11 @@ class Formula:
         formula = cls(declared_vars, declared_clauses)
         formula._counts = counts
         formula._size = sum(counts.values())
-        formula._max_var = max(map(abs, chain.from_iterable(counts)), default=0)
         return formula
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
         self._counts[clause] = self._counts.get(clause, 0) + 1
         self._size += 1
-        for lit in clause:
-            if abs(lit) > self._max_var:
-                self._max_var = abs(lit)
 
     def remove_clause(self, clause: tuple[int, ...]) -> bool:
         """Remove one copy; False if the clause is not present."""
@@ -205,9 +202,6 @@ class Formula:
     def __len__(self) -> int:
         return self._size
 
-    def distinct_clauses(self):
-        return iter(self._counts)
-
     def clauses(self):
         """All clause copies, duplicates included."""
         for clause, count in self._counts.items():
@@ -222,23 +216,7 @@ class Formula:
         return [clause for clause in self._counts if lit in clause]
 
     def max_variable(self) -> int:
-        return self._max_var
-
-    def copy(self) -> "Formula":
-        other = Formula(self.declared_vars, self.declared_clauses)
-        other._counts = dict(self._counts)
-        other._size = self._size
-        other._max_var = self._max_var
-        return other
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return (
-            self._counts == other._counts
-            and self.declared_vars == other.declared_vars
-            and self.declared_clauses == other.declared_clauses
-        )
+        return max(map(abs, chain.from_iterable(self._counts)), default=0)
 
     def __repr__(self) -> str:
         return "Formula(%d vars, %d clauses)" % (self.declared_vars, self._size)

@@ -1,6 +1,7 @@
 import pytest
 
-from dratcheck import ADD, DELETE, Proof, ProofStep, normalize_clause, parse_dimacs, parse_plain_proof
+from dratcheck import CheckerState, Proof, ProofStep, normalize_clause, parse_dimacs, parse_plain_proof
+from dratcheck.model import ADD, DELETE
 
 # Worked example used throughout: 4 variables, 8 clauses, and the 4-step
 # refutation of it (spacing kept as published).
@@ -45,6 +46,37 @@ def paper_formula():
 @pytest.fixture
 def paper_proof():
     return parse_plain_proof(PAPER_PROOF)
+
+
+# -- one-call checks and a DIMACS writer over a Formula ----------------------
+
+def propagate(formula, assumptions=()):
+    """Unit propagation on a formula under assumptions; True means conflict."""
+    return CheckerState(formula).propagate(list(assumptions))
+
+
+def check_at(formula, literals):
+    """Asymmetric tautology test for a duplicate-free, non-tautological clause."""
+    return CheckerState(formula).check_at(tuple(literals))
+
+
+def check_rat(formula, literals):
+    """Resolution asymmetric tautology test; the pivot is the first written literal."""
+    ok, _, _ = CheckerState(formula).check_rat(normalize_clause(literals))
+    return ok
+
+
+def formula_value(formula):
+    """The clause multiset and declared counts, which define an equal formula."""
+    return formula.clause_counts(), formula.declared_vars, formula.declared_clauses
+
+
+def write_dimacs(formula):
+    """A formula as DIMACS text, literals in canonical order."""
+    var_max = max(formula.declared_vars, formula.max_variable())
+    lines = ["p cnf %d %d" % (var_max, len(formula))]
+    lines += [" ".join(map(str, clause + (0,))) for clause in formula.clauses()]
+    return "\n".join(lines) + "\n"
 
 
 # -- random generators (plain random.Random for the bulk loops) --------------

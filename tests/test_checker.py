@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck import (
-    DELETE,
     NO_EMPTY_CLAUSE,
     REJECTED,
     VERIFIED,
@@ -17,20 +16,26 @@ from dratcheck import (
     Proof,
     ProofError,
     add_step,
-    check_at,
     check_proof,
-    check_rat,
     delete_step,
     normalize_clause,
     parse_dimacs,
     parse_plain_proof,
-    propagate,
 )
 from dratcheck import checker as checker_module
 from dratcheck.dimacs import clause_records
+from dratcheck.model import DELETE
 from dratcheck.oracle import brute_force_sat
 
-from conftest import PAPER_CLAUSES, random_clause_list, random_replay_case, refutation_steps
+from conftest import (
+    PAPER_CLAUSES,
+    check_at,
+    check_rat,
+    propagate,
+    random_clause_list,
+    random_replay_case,
+    refutation_steps,
+)
 from slowpath import check_rat_naive, propagate_naive, replay_naive
 
 
@@ -312,6 +317,24 @@ def test_check_records_reads_the_records_after_the_verdict(clauses, verdict):
     state = CheckerState(Formula.from_clauses(clauses))
     report = checker_module.check_records(state, [(False, []), (True, [1, 2])])
     assert (report.verdict, report.step, report.warnings) == (verdict, 1, [])
+
+
+def test_check_records_takes_its_trace_off_the_state_on_exit():
+    first = []
+    state = CheckerState(Formula.from_clauses([[1, 2], [-1, 2], [1, -2]]))
+    checker_module.check_records(state, [(False, [2])], trace=first.append)
+    assert first == ["step 1: AT check passed for (2)"] and state.trace is None
+    # a later untraced call on the same state writes nothing to the old trace
+    checker_module.check_records(state, [(False, [1])])
+    assert first == ["step 1: AT check passed for (2)"]
+
+    def failing():
+        yield True, [1, 2]
+        raise ProofError("bad step", 2, 0)
+
+    with pytest.raises(ProofError):
+        checker_module.check_records(state, failing(), trace=first.append)
+    assert first[1:] == ["step 1: delete (1 2): removed one copy"] and state.trace is None
 
 
 def test_check_proof_does_not_mutate_the_input_formula(paper_formula, paper_proof):

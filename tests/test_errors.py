@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from dratcheck import ADD, parse_binary_proof, parse_dimacs, parse_plain_proof
+from dratcheck import parse_binary_proof, parse_dimacs, parse_plain_proof
 from dratcheck.checker import CheckerState
 from dratcheck.cli import main
 from dratcheck.dimacs import (
@@ -24,6 +24,7 @@ from dratcheck.dimacs import (
     VarOutOfRangeError,
     clause_records,
 )
+from dratcheck.model import ADD
 from dratcheck.proofio import (
     BadPrefixError,
     InvalidCodeError,
@@ -39,7 +40,7 @@ DIMACS_CASES = [
     (b"c x\n\np cnf x 8\n", HeaderError, "malformed header 'p cnf x 8'", 3, 5),
     (b"p cnf 4 8 extra\n", HeaderError, "malformed header 'p cnf 4 8 extra'", 1, 0),
     (b"p cnf 2147483648 0\n", HeaderError, "variable count 2147483648 exceeds 2^31 - 1", 1, 0),
-    (b"c only\n", HeaderError, "no 'p cnf' header found", 0, 0),
+    (b"c only\n", HeaderError, "no 'p cnf' header found", 0, None),
     # malformed literal
     (b"p cnf 2 1\n1 x 0\n", DimacsError, "malformed literal 'x'", 2, 12),
     (b"p cnf 2 1\n1 007 0\n", DimacsError, "malformed literal '007'", 2, 12),
@@ -68,7 +69,7 @@ DIMACS_CASES = [
     (b"p cnf 2 2\n1 0\n\n  2 1", UnterminatedClauseError,
      "end of input inside a clause (missing terminating 0)", 4, 17),
     # clause count
-    (b"p cnf 2 2\n1 0\n", ClauseCountError, "header declares 2 clauses but 1 were found", 0, 0),
+    (b"p cnf 2 2\n1 0\n", ClauseCountError, "header declares 2 clauses but 1 were found", 0, None),
     # blanks are space, tab, and \r before \n; nothing else splits a token
     (b"p cnf 2 1\n1\xa02 0\n", DimacsError, "malformed literal '1\\xa02'", 2, 10),
     (b"p cnf 2 1\n1\x0c2 0\n", DimacsError, "malformed literal '1\\x0c2'", 2, 10),
@@ -170,10 +171,21 @@ def test_error_text_names_the_line_and_byte_when_known():
             parse(data)
         if line:
             assert str(info.value) == "line %d, byte %d: %s" % (line, offset, message)
-        elif offset:
+        elif offset is not None:
             assert str(info.value) == "byte %d: %s" % (offset, message)
         else:
             assert str(info.value) == message
+
+
+def test_binary_error_at_byte_0_is_located_through_the_command_line(tmp_path, capsys):
+    formula, proof = tmp_path / "formula.cnf", tmp_path / "proof.bdrat"
+    formula.write_bytes(b"p cnf 1 0\n")
+    proof.write_bytes(b"x\x02\x00")
+    expected = "c error: %s: byte 0: record prefix 0x78 is neither 'a' nor 'd'\n" % proof
+    assert main(["check", "--binary", str(formula), str(proof)]) == 2
+    assert capsys.readouterr().out == expected
+    assert main(["convert", "--binary", str(proof), "--to", "plain", "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == expected
 
 
 def test_binary_varint_may_end_in_zero_after_a_continuation_byte():

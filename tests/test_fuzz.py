@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck import (
-    ADD,
-    DELETE,
     DimacsError,
     Formula,
     Proof,
@@ -21,8 +19,10 @@ from dratcheck import (
     parse_dimacs,
     parse_plain_proof,
     serialize_plain,
-    write_dimacs,
 )
+from dratcheck.model import ADD, DELETE
+
+from conftest import write_dimacs
 from slowpath import NaiveBinaryError, parse_binary_naive
 
 # bytes the readers treat specially, and their near misses
@@ -37,9 +37,9 @@ line_end = st.sampled_from([b"\n", b"\r\n", b" \n", b"\nc comment \x85\xa0\r\n"]
 
 
 def assert_located(exc, data):
-    """line 0 means no location; otherwise the offset lies on that line."""
+    """line 0 means no location, so no offset; otherwise the offset lies on that line."""
     if exc.line == 0:
-        assert exc.offset == 0
+        assert exc.offset is None
         return
     assert 0 <= exc.offset < len(data)
     assert data.count(b"\n", 0, exc.offset) == exc.line - 1

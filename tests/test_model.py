@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dratcheck import (
-    ADD,
-    DELETE,
     MAX_LITERAL,
     NO_EMPTY_CLAUSE,
     REJECTED,
@@ -14,15 +12,15 @@ from dratcheck import (
     WARN_UNIT_DELETION,
     CheckReport,
     DeletionWarning,
-    DuplicateLiteralError,
     Formula,
-    LiteralRangeError,
     Proof,
     ProofStep,
     SourceClause,
-    TautologyError,
     normalize_clause,
 )
+from dratcheck.model import ADD, DELETE, DuplicateLiteralError, LiteralRangeError, TautologyError
+
+from conftest import formula_value
 
 
 def test_normalize_keeps_original_order():
@@ -113,9 +111,16 @@ def test_formula_multiset_add_and_remove():
 def test_formula_equality_is_multiset_equality():
     left = Formula.from_clauses([[1, 2], [1, 2], [-3]])
     right = Formula.from_clauses([[2, 1], [-3], [1, 2]])
-    assert left == right
+    assert formula_value(left) == formula_value(right)
     right.add_clause((1, 2))
-    assert left != right
+    assert formula_value(left) != formula_value(right)
+
+
+def test_max_variable_falls_when_its_last_clause_is_removed():
+    formula = Formula.from_clauses([[1, 2], [-5, 3]])
+    assert formula.max_variable() == 5
+    assert formula.remove_clause((3, -5))
+    assert formula.max_variable() == 2
 
 
 def test_occurrence_index_tracks_every_mutation():
@@ -131,17 +136,8 @@ def test_occurrence_index_tracks_every_mutation():
             formula.remove_clause(clause)
         # the index must list exactly the distinct clauses containing each literal
         for lit in (-3, -2, -1, 1, 2, 3):
-            expected = sorted(c for c in formula.distinct_clauses() if lit in c)
+            expected = sorted(c for c in formula.clause_counts() if lit in c)
             assert sorted(formula.clauses_with(lit)) == expected
-
-
-def test_formula_copy_is_independent():
-    original = Formula.from_clauses([[1, 2], [-1]])
-    clone = original.copy()
-    clone.add_clause((1, 2))
-    assert original.count((1, 2)) == 1
-    assert clone.count((1, 2)) == 2
-    assert original.clauses_with(1) == [(1, 2)]
 
 
 def test_value_classes_compare_and_hash_by_field():

@@ -6,18 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck import (
-    ADD,
-    BINARY,
-    DELETE,
     DimacsError,
     MAX_LITERAL,
-    PLAIN,
     Proof,
     ProofError,
     add_step,
     decode_varint,
     delete_step,
-    detect_encoding,
     encode_varint,
     map_literal,
     parse_binary_proof,
@@ -26,12 +21,16 @@ from dratcheck import (
     serialize_plain,
     unmap_literal,
 )
+from dratcheck.model import ADD, DELETE
 from dratcheck.proofio import (
+    BINARY,
+    PLAIN,
     BadPrefixError,
     InvalidCodeError,
     TruncatedRecordError,
     TruncatedVarintError,
     VarintOverflowError,
+    detect_encoding,
 )
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_PROOF, random_proof
