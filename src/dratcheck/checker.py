@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .model import (
     NO_EMPTY_CLAUSE,
     REJECTED,
@@ -32,15 +34,17 @@ class CheckerState:
     variables, not the largest literal value.
 
     Clauses come in through load, as canonical literal tuples, and a formula
-    given is only read. Each distinct non-empty clause gets one id while at
-    least one copy is present; duplicate copies share it, since propagation
-    cannot tell them apart. A clause is keyed by its codes in canonical
-    order, which are the ints held in ``_code``, so no parsed literal is
-    kept. An id holds its copy count and a code list whose two watched
-    literals sit in positions 0 and 1. Unit clauses are never watched, as
-    unit deletions are ignored: their codes are asserted at the start of
-    every propagation. Copies of the empty clause turn every propagation
-    into a conflict.
+    given is only read. A distinct non-empty clause is one code list while
+    at least one copy is present; duplicate copies share it, since
+    propagation cannot tell them apart, and copies beyond the first are
+    counted in a sparse dict keyed by the list's ``id``. ``_ids`` maps each
+    clause's codes in canonical order, which are the ints held in
+    ``_code``, to its code list, whose two watched literals sit in
+    positions 0 and 1; watch and occurrence lists hold the code lists
+    themselves. No parsed literal is kept. Unit clauses are never watched,
+    as unit deletions are ignored: their codes are asserted whenever a
+    propagation starts from an empty trail. Copies of the empty clause turn
+    every propagation into a conflict.
     """
 
     def __init__(self, formula: Formula | None = None):
@@ -50,12 +54,11 @@ class CheckerState:
         self._code = Memo(self._new_variable)
         self._literal: list[int] = []  # by code: signed literal
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
-        self._watches: list[list[int]] = []  # by code: ids watching it
-        # by code: ids containing it, oldest first; built by the first RAT stage
-        self._occurs: list[list[int]] | None = None
-        self._lits: list[list[int] | None] = []  # by id: codes, watches first
-        self._ids: dict[tuple[int, ...], int] = {}  # key -> id
-        self._copies: list[int] = []  # by id: number of copies present
+        self._watches: list[list[list[int]]] = []  # by code: code lists watching it
+        # by code: code lists containing it, oldest first; built by the first RAT stage
+        self._occurs: list[list[list[int]]] | None = None
+        self._ids: dict[tuple[int, ...], list[int]] = {}  # key -> codes, watches first
+        self._surplus: dict[int, int] = {}  # id(codes) -> copies beyond the first
         self._units: list[int] = []
         self._trail: list[int] = []
         self._empty_copies = 0
@@ -85,36 +88,34 @@ class CheckerState:
     def load(self, clauses) -> None:
         """Add one copy of each canonical clause, duplicates and the empty clause included."""
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        add_codes, copies = self._lits.append, self._copies
+        surplus = self._surplus
         code_of = self._code.__getitem__
         for clause in clauses:
             if not clause:
                 self._empty_copies += 1
                 continue
             key = tuple(map(code_of, clause))
-            cid = ids.get(key)
-            if cid is not None:
-                copies[cid] += 1
+            codes = ids.get(key)
+            if codes is not None:
+                surplus[id(codes)] = surplus.get(id(codes), 0) + 1
                 continue
-            ids[key] = cid = len(copies)
-            add_codes([*key][:])  # a slice is allocated at its exact size
-            copies.append(1)
+            ids[key] = codes = [*key][:]  # a slice is allocated at its exact size
             if occurs is not None:
                 for code in key:
-                    occurs[code].append(cid)
+                    occurs[code].append(codes)
             if len(key) == 1:
                 units.append(key[0])
             else:
-                watches[key[0]].append(cid)
-                watches[key[1]].append(cid)
+                watches[key[0]].append(codes)
+                watches[key[1]].append(codes)
 
-    def _occurrences(self) -> list[list[int]]:
-        """The occurrence lists, built in id order on first use."""
+    def _occurrences(self) -> list[list[list[int]]]:
+        """The occurrence lists, built oldest first on first use."""
         if self._occurs is None:
             self._occurs = [[] for _ in self._values]
-            for cid, codes in enumerate(self._lits):
-                for code in codes or ():
-                    self._occurs[code].append(cid)
+            for codes in self._ids.values():
+                for code in codes:
+                    self._occurs[code].append(codes)
         return self._occurs
 
     def _detach_copy(self, clause: tuple[int, ...]) -> bool:
@@ -125,19 +126,20 @@ class CheckerState:
             return present
         # a variable never seen is in no clause, and gets no codes here
         key = tuple(map(self._code.get, clause))
-        cid = self._ids.get(key)
-        if cid is None:
+        codes = self._ids.get(key)
+        if codes is None:
             return False
-        self._copies[cid] -= 1
-        if not self._copies[cid]:
+        extra = self._surplus.pop(id(codes), 0)
+        if extra > 1:
+            self._surplus[id(codes)] = extra - 1
+        elif not extra:
+            # two live clauses never compare equal, so remove finds this one
             del self._ids[key]
-            codes = self._lits[cid]
             if self._occurs is not None:
                 for code in codes:
-                    self._occurs[code].remove(cid)
-            self._watches[codes[0]].remove(cid)
-            self._watches[codes[1]].remove(cid)
-            self._lits[cid] = None
+                    self._occurs[code].remove(codes)
+            self._watches[codes[0]].remove(codes)
+            self._watches[codes[1]].remove(codes)
         return True
 
     # -- unit propagation ----------------------------------------------------
@@ -145,18 +147,21 @@ class CheckerState:
     def propagate(self, assumptions=()) -> bool:
         """Run unit propagation under the assumptions; True means conflict.
 
-        The assignment is fully undone before returning, so the call has no
-        observable effect on the state. Contradictory assumptions count as
-        a conflict.
+        The assignment is undone before returning, so the trail and values
+        are as the call found them. Contradictory assumptions count as a
+        conflict.
         """
         return self._conflict(self._codes(assumptions))
 
-    def _conflict(self, assumed: list[int]) -> bool:
+    def _conflict(self, assumed: list[int], keep: bool = False) -> bool:
+        # propagates on top of the trail, a fixpoint, and cuts it back to
+        # where it was, unless keep asks to leave a conflict-free fixpoint
         if self._empty_copies:
             return True
         values, trail = self._values, self._trail
+        start = len(trail)
         conflict = False
-        for code in assumed + self._units:
+        for code in assumed if start else assumed + self._units:
             value = values[code]
             if value == FALSE:
                 conflict = True
@@ -165,22 +170,26 @@ class CheckerState:
                 values[code], values[code ^ 1] = TRUE, FALSE
                 trail.append(code)
         if not conflict:
-            conflict = self._propagate_watches()
-        for code in trail:
-            values[code] = values[code ^ 1] = UNASSIGNED
-        trail.clear()
+            conflict = self._propagate_watches(start)
+        if conflict or not keep:
+            self._undo(start)
         return conflict
 
-    def _propagate_watches(self) -> bool:
-        values, trail, watches, lits_of = self._values, self._trail, self._watches, self._lits
-        for assigned in trail:  # also visits the codes appended below
+    def _undo(self, start: int) -> None:
+        values, trail = self._values, self._trail
+        for code in islice(trail, start, None):
+            values[code] = values[code ^ 1] = UNASSIGNED
+        del trail[start:]
+
+    def _propagate_watches(self, start: int) -> bool:
+        values, trail, watches = self._values, self._trail, self._watches
+        for assigned in islice(trail, start, None) if start else trail:  # and codes appended
             falsified = assigned ^ 1
             watchers = watches[falsified]
             if not watchers:
                 continue
-            kept: list[int] = []
-            for cid in watchers:
-                lits = lits_of[cid]
+            kept: list[list[int]] = []
+            for lits in watchers:
                 other = lits[0]
                 if other == falsified:
                     # swapping stored objects keeps the code lists sharing
@@ -188,19 +197,19 @@ class CheckerState:
                     other = lits[1]
                     lits[0], lits[1] = other, lits[0]
                 if values[other] == TRUE:
-                    kept.append(cid)
+                    kept.append(lits)
                     continue
                 for k in range(2, len(lits)):
                     lit = lits[k]
                     if values[lit] != FALSE:
                         # move this watch from the falsified literal to lit
                         lits[1], lits[k] = lit, lits[1]
-                        watches[lit].append(cid)
+                        watches[lit].append(lits)
                         break
                 else:
-                    kept.append(cid)
+                    kept.append(lits)
                     if values[other] == FALSE:
-                        kept += watchers[watchers.index(cid) + 1 :]
+                        kept += watchers[watchers.index(lits) + 1 :]
                         watches[falsified] = kept
                         return True
                     values[other], values[other ^ 1] = TRUE, FALSE
@@ -210,37 +219,40 @@ class CheckerState:
 
     # -- redundancy checks ---------------------------------------------------
 
-    def check_at(self, literals) -> bool:
-        """Does propagating the clause's negation yield a conflict?"""
-        return self._conflict([code ^ 1 for code in self._codes(literals)])
+    def check_at(self, literals, _keep: bool = False) -> bool:
+        """Does propagating the clause's negation on top of the trail yield a
+        conflict? With _keep, a fixpoint without conflict stays on the trail."""
+        return self._conflict([code ^ 1 for code in self._codes(literals)], _keep)
 
     def check_rat(self, clause: SourceClause):
         """AT check first, then resolvents on the first written literal.
 
-        Returns (ok, pivot, failed_resolvent): pivot and failed_resolvent
-        are None unless the resolvent stage ran and failed.
+        A resolvent holds the lemma, so its check propagates on top of the
+        lemma's fixpoint. Returns (ok, pivot, failed_resolvent): pivot and
+        failed_resolvent are None unless the resolvent stage ran and failed.
         """
-        if self.check_at(clause.canonical):
+        if self.check_at(clause.canonical, _keep=True):
             self._note("AT check passed for %s", clause.literals)
             return True, None, None
-        pivot = clause.literals[0]
-        self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
-        own = set(clause.canonical)
-        for cid in self._occurrences()[self._code[-pivot]]:
-            other = tuple(sorted(self._literals(self._lits[cid]), key=abs))
-            rest = [lit for lit in other if lit != -pivot]
-            if any(-lit in own for lit in rest):
-                self._note("resolvent with %s is a tautology, trivially redundant", other)
-                continue
-            resolvent = tuple(clause.literals) + tuple(
-                lit for lit in rest if lit not in own
-            )
-            if self.check_at(resolvent):
-                self._note("resolvent %s (with %s): AT passed", resolvent, other)
-            else:
-                self._note("resolvent %s (with %s): AT failed", resolvent, other)
-                return False, pivot, resolvent
-        return True, pivot, None
+        try:
+            pivot = clause.literals[0]
+            self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
+            own = set(clause.canonical)
+            for codes in self._occurrences()[self._code[-pivot]]:
+                other = tuple(sorted(self._literals(codes), key=abs))
+                rest = [lit for lit in other if lit != -pivot]
+                if any(-lit in own for lit in rest):
+                    self._note("resolvent with %s is a tautology, trivially redundant", other)
+                    continue
+                resolvent = tuple(clause.literals) + tuple(lit for lit in rest if lit not in own)
+                if self.check_at(resolvent):
+                    self._note("resolvent %s (with %s): AT passed", resolvent, other)
+                else:
+                    self._note("resolvent %s (with %s): AT failed", resolvent, other)
+                    return False, pivot, resolvent
+            return True, pivot, None
+        finally:
+            self._undo(0)
 
     # -- proof steps -----------------------------------------------------------
 
@@ -284,7 +296,8 @@ class CheckerState:
         return None
 
     def clause_counts(self) -> dict[tuple[int, ...], int]:
-        counts = {self._literals(key): self._copies[cid] for key, cid in self._ids.items()}
+        extra = self._surplus.get
+        counts = {self._literals(key): 1 + extra(id(codes), 0) for key, codes in self._ids.items()}
         return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:

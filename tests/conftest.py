@@ -198,6 +198,54 @@ def random_replay_case(rng):
     return clauses, steps + [("a", lits) for lits in lemmas]
 
 
+def rat_replay_case(rng, max_var=7):
+    """A formula with several clauses on one negated pivot, and a proof of
+    lemmas on that pivot, most of which fail AT. Most candidates get two
+    clauses over their other literals and a helper variable, so that every
+    resolvent with them is AT; the others decide at random. Deletions and
+    re-additions of candidates change their order."""
+    pivot = rng.choice((1, -1)) * rng.randint(1, max_var)
+    others = [v for v in range(1, max_var + 1) if v != abs(pivot)]
+
+    def clause(size):
+        return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(others, size))
+
+    candidates = [(-pivot,) + clause(rng.randint(1, 2)) for _ in range(rng.randint(3, 8))]
+    clauses = candidates + [clause(rng.randint(2, 3)) for _ in range(rng.randint(4, 10))]
+    for candidate in candidates:
+        if rng.random() < 0.75:
+            helper = rng.choice((1, -1)) * rng.randint(max_var + 1, max_var + 2)
+            clauses += [candidate[1:] + (helper,), candidate[1:] + (-helper,)]
+    rng.shuffle(clauses)
+    steps = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if roll < 0.3:
+            steps.append(("d" if roll < 0.15 else "a", rng.choice(candidates)))
+        else:
+            steps.append(("a", (pivot,) + clause(rng.randint(1, 3))))
+    return clauses, steps
+
+
+# -- the checker's store between steps ----------------------------------------
+
+def assert_store_invariants(state):
+    """No assignment is left; each live clause's code list is watched at its
+    positions 0 and 1, once each, and nowhere else (units nowhere); built
+    occurrence lists hold the live clauses in store order; surplus copies
+    are counted for live clauses only."""
+    assert state._trail == [] and not any(state._values)
+    live = list(state._ids.values())
+    watched = [(code, id(codes)) for code, watchers in enumerate(state._watches) for codes in watchers]
+    expected = [(codes[k], id(codes)) for codes in live if len(codes) > 1 for k in (0, 1)]
+    assert sorted(watched) == sorted(expected)
+    if state._occurs is not None:
+        for code, occurrences in enumerate(state._occurs):
+            assert [id(codes) for codes in occurrences] == [id(codes) for codes in live if code in codes]
+    assert set(state._surplus) <= {id(codes) for codes in live}
+    assert all(extra > 0 for extra in state._surplus.values())
+
+
 # -- acceptance summary: one line per criterion, printed unconditionally -----
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

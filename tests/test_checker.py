@@ -29,14 +29,16 @@ from dratcheck.oracle import brute_force_sat
 
 from conftest import (
     PAPER_CLAUSES,
+    assert_store_invariants,
     check_at,
     check_rat,
     propagate,
     random_clause_list,
     random_replay_case,
+    rat_replay_case,
     refutation_steps,
 )
-from slowpath import check_rat_naive, propagate_naive, replay_naive
+from slowpath import check_at_naive, check_rat_naive, propagate_naive, replay_naive
 
 
 def paper_f0():
@@ -519,6 +521,114 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
             seen["empty copies"] += not key and naive.get(key, 0) != present
             assert state.clause_counts() == naive, (clauses, steps, number)
     assert min(seen.values()) >= 20, seen
+
+
+# -- RAT stages with several resolvents, and the store between steps ----------
+
+
+def naive_store(clauses, steps):
+    """Live clauses in canonical form, oldest first, with their copy counts,
+    after the steps; a clause deleted to no copies and added again is new."""
+    live = {}
+    for clause in clauses:
+        key = normalize_clause(clause).canonical
+        live[key] = live.get(key, 0) + 1
+    for kind, lits in steps:
+        key = normalize_clause(lits).canonical
+        if kind == "a":
+            live[key] = live.get(key, 0) + 1
+        elif len(key) != 1 and key in live:
+            live[key] -= 1
+            if not live[key]:
+                del live[key]
+    return live
+
+
+def naive_failed_resolvent(database, lemma):
+    """The first non-tautological resolvent on the lemma's first literal that
+    is not AT, candidates taken in database order; None if there is none."""
+    pivot = lemma[0]
+    for other in database:
+        rest = [lit for lit in other if lit != -pivot]
+        if len(rest) == len(other) or any(-lit in lemma for lit in rest):
+            continue
+        resolvent = tuple(lemma) + tuple(lit for lit in rest if lit not in lemma)
+        if not check_at_naive(database, resolvent):
+            return resolvent
+    return None
+
+
+def resolvent_checks_by_step(trace):
+    checks = {}
+    for line in trace:
+        step, _, message = line.partition(": ")
+        if message.startswith("resolvent ("):
+            checks[step] = checks.get(step, 0) + 1
+    return checks
+
+
+def test_rat_entries_with_several_resolvents_agree_with_the_slow_path_replay():
+    rng = random.Random(83)
+    several = later_rejections = 0
+    for _ in range(500):
+        clauses, steps = rat_replay_case(rng)
+        proof = Proof([(delete_step if kind == "d" else add_step)(lits) for kind, lits in steps])
+        trace = []
+        report = check_proof(Formula.from_clauses(clauses), proof, trace=trace.append)
+        verdict, step, warned = replay_naive(clauses, steps)
+        assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
+        assert [w.step for w in report.warnings] == warned
+        checks = resolvent_checks_by_step(trace)
+        several += sum(count >= 2 for count in checks.values())
+        if verdict == REJECTED:
+            lemma = steps[step - 1][1]
+            database = list(naive_store(clauses, steps[: step - 1]))
+            assert report.failed_resolvent == naive_failed_resolvent(database, lemma), (clauses, steps)
+            later_rejections += checks.get("step %d" % step, 0) >= 2
+    assert several >= 200 and later_rejections >= 20, (several, later_rejections)
+
+
+def test_store_invariants_hold_after_every_step():
+    rng = random.Random(89)
+    rat_stages = 0
+    for case in range(600):
+        clauses, steps = (random_replay_case if case % 2 else rat_replay_case)(rng)
+        state = CheckerState(Formula.from_clauses(clauses))
+        assert_store_invariants(state)
+        applied = []
+        for number, (kind, lits) in enumerate(steps, start=1):
+            clause = normalize_clause(lits)
+            if kind == "d":
+                state.apply_delete(clause, number)
+                applied.append((kind, lits))
+            elif state.apply_add(clause, number) is None:
+                applied.append((kind, lits))
+            assert_store_invariants(state)
+            live = naive_store(clauses, applied)
+            counts = state.clause_counts()
+            counts.pop((), None)
+            live.pop((), None)
+            assert list(counts.items()) == list(live.items()), (clauses, steps, number)
+        rat_stages += state._occurs is not None
+    assert rat_stages >= 300
+
+
+def test_a_trace_that_raises_at_the_first_resolvent_leaves_the_trail_empty():
+    state = CheckerState(parse_dimacs("p cnf 5 3\n-1 2 0\n-1 3 0\n2 -3 0\n"))
+    trails = []
+
+    def trace(message):
+        if message.startswith("resolvent"):
+            trails.append(len(state._trail))
+            raise RuntimeError(message)
+
+    state.trace = trace
+    with pytest.raises(RuntimeError, match=r"resolvent \(1 4 2\) \(with \(-1 2\)\): AT failed"):
+        state.apply_add(normalize_clause([1, 4]), 1)
+    assert trails[0] > 0  # the lemma's fixpoint was on the trail
+    assert_store_invariants(state)
+    state.trace = None
+    assert state.apply_add(normalize_clause([1, 4]), 2).failed_resolvent == (1, 4, 2)
 
 
 # -- the command line's store: DIMACS clauses loaded straight into the checker --

@@ -165,7 +165,7 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     assert type(state) is checker.CheckerState and len(state._values) == 600
     memo = {id(code) for code in state._code.values()}
     held = [code for key in state._ids for code in key]
-    held += [code for codes in state._lits for code in codes]
+    held += [code for codes in state._ids.values() for code in codes]
     assert len(held) == 2 * (3 * len(state._ids) - 2)
     assert all(id(code) in memo for code in held)
 
