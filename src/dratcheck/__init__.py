@@ -10,11 +10,7 @@ from .model import (
     CheckReport,
     DeletionWarning,
     Formula,
-    Proof,
-    ProofStep,
     SourceClause,
-    add_step,
-    delete_step,
     normalize_clause,
 )
 from .dimacs import DimacsError, parse_dimacs
@@ -43,14 +39,10 @@ __all__ = [
     "DeletionWarning",
     "DimacsError",
     "Formula",
-    "Proof",
     "ProofError",
-    "ProofStep",
     "SourceClause",
-    "add_step",
     "check_proof",
     "decode_varint",
-    "delete_step",
     "encode_varint",
     "map_literal",
     "normalize_clause",

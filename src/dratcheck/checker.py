@@ -14,11 +14,10 @@ from .model import (
     DeletionWarning,
     Formula,
     Memo,
-    Proof,
     SourceClause,
     canonical_form,
+    checked_records,
     format_clause,
-    step_records,
 )
 
 TRUE, FALSE, UNASSIGNED = 1, -1, 0
@@ -143,15 +142,6 @@ class CheckerState:
         return True
 
     # -- unit propagation ----------------------------------------------------
-
-    def propagate(self, assumptions=()) -> bool:
-        """Run unit propagation under the assumptions; True means conflict.
-
-        The assignment is undone before returning, so the trail and values
-        are as the call found them. Contradictory assumptions count as a
-        conflict.
-        """
-        return self._conflict(self._codes(assumptions))
 
     def _conflict(self, assumed: list[int], keep: bool = False) -> bool:
         # propagates on top of the trail, a fixpoint, and cuts it back to
@@ -340,6 +330,8 @@ def check_records(state: CheckerState, records, trace=None) -> CheckReport:
     return report
 
 
-def check_proof(formula: Formula, proof: Proof, trace=None) -> CheckReport:
-    """Replay a proof against a formula with forward checking (see check_records)."""
-    return check_records(CheckerState(formula), step_records(proof), trace)
+def check_proof(formula: Formula, records, trace=None) -> CheckReport:
+    """Replay (delete, literals) records against a formula with forward
+    checking (see check_records). Records may be built by hand, so each is
+    checked as normalize_clause checks a clause."""
+    return check_records(CheckerState(formula), checked_records(records), trace)

@@ -1,4 +1,4 @@
-"""Shared domain types: literals, clauses, formulas, proofs, check reports."""
+"""Shared domain types: literals, clauses, formulas, check reports."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ from itertools import chain
 
 # DIMACS variable indices fit in a signed 32-bit int; 0 is the clause terminator.
 MAX_LITERAL = 2**31 - 1
-
-ADD = "add"
-DELETE = "delete"
 
 VERIFIED = "verified"
 REJECTED = "rejected"
@@ -139,6 +136,22 @@ def normalize_clause(literals) -> SourceClause:
     return SourceClause(original, canonical_form(original))
 
 
+def checked_records(records):
+    """Yield hand-built (delete, literals) records once they pass normalize_clause's checks.
+
+    The errors are normalize_clause's, but a valid record costs one set of
+    its variables and no sort, as in the readers.
+    """
+    for delete, lits in records:
+        variables = set(map(abs, lits))
+        if 0 in variables or max(variables, default=0) > MAX_LITERAL:
+            for lit in lits:
+                check_literal(lit)
+        if len(variables) != len(lits):
+            canonical_form(lits)
+        yield delete, lits
+
+
 def format_clause(literals) -> str:
     lits = tuple(literals)
     if not lits:
@@ -220,41 +233,6 @@ class Formula:
 
     def __repr__(self) -> str:
         return "Formula(%d vars, %d clauses)" % (self.declared_vars, self._size)
-
-
-class ProofStep(_Value):
-    __slots__ = ("kind", "clause")
-
-    def __init__(self, kind: str, clause: SourceClause):
-        self.kind = kind  # ADD or DELETE
-        self.clause = clause
-
-
-def add_step(literals) -> ProofStep:
-    return ProofStep(ADD, normalize_clause(literals))
-
-
-def delete_step(literals) -> ProofStep:
-    return ProofStep(DELETE, normalize_clause(literals))
-
-
-class Proof(_Value):
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: list[ProofStep] | None = None):
-        self.steps = [] if steps is None else steps
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def step_records(proof: Proof):
-    """Yield (delete, literals) for each step of a proof, literals as written."""
-    for step in proof:
-        yield step.kind == DELETE, step.clause.literals
 
 
 class DeletionWarning(_Value):

@@ -4,20 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .model import (
-    ADD,
-    DELETE,
-    MAX_LITERAL,
-    ClauseError,
-    LocatedError,
-    Memo,
-    Proof,
-    ProofStep,
-    SourceClause,
-    canonical_form,
-    check_literal,
-    step_records,
-)
+from .model import MAX_LITERAL, ClauseError, LocatedError, Memo, canonical_form, check_literal, checked_records
 from .lexer import Lines
 
 PLAIN = "plain"
@@ -157,21 +144,14 @@ def _raise_record_error(data, start: int):
     raise TruncatedRecordError("input ends inside a record (missing zero byte)", offset=start)
 
 
-def _proof(records) -> Proof:
-    return Proof([
-        ProofStep(DELETE if delete else ADD, SourceClause(tuple(lits), canonical_form(lits)))
-        for delete, lits in records
-    ])
+def parse_plain_proof(data) -> list:
+    """Parse a plain-text DRAT proof into its (delete, literals) records, in order."""
+    return list(plain_records(data))
 
 
-def parse_plain_proof(data) -> Proof:
-    """Parse a plain-text DRAT proof into ordered add/delete steps."""
-    return _proof(plain_records(data))
-
-
-def parse_binary_proof(data: bytes) -> Proof:
+def parse_binary_proof(data: bytes) -> list:
     """Parse a binary DRAT proof: 0x61/0x64 prefix, varint codes, 0x00 terminator."""
-    return _proof(binary_records(data))
+    return list(binary_records(data))
 
 
 def write_records(records, encoding: str) -> bytearray:
@@ -189,14 +169,14 @@ def write_records(records, encoding: str) -> bytearray:
     return out
 
 
-def serialize_plain(proof: Proof) -> bytes:
-    """Write a proof as plain text, one step per line, single spaces."""
-    return bytes(write_records(step_records(proof), PLAIN))
+def serialize_plain(records) -> bytes:
+    """Write (delete, literals) records as plain text, one step per line, single spaces."""
+    return bytes(write_records(checked_records(records), PLAIN))
 
 
-def serialize_binary(proof: Proof) -> bytes:
-    """Write a proof in the binary encoding, bit-exact with parse_binary_proof."""
-    return bytes(write_records(step_records(proof), BINARY))
+def serialize_binary(records) -> bytes:
+    """Write (delete, literals) records in the binary encoding, bit-exact with parse_binary_proof."""
+    return bytes(write_records(checked_records(records), BINARY))
 
 
 _BLANKS = re.compile(rb"[ \t\n\r]*")

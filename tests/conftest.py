@@ -1,7 +1,6 @@
 import pytest
 
-from dratcheck import CheckerState, Proof, ProofStep, normalize_clause, parse_dimacs, parse_plain_proof
-from dratcheck.model import ADD, DELETE
+from dratcheck import CheckerState, normalize_clause, parse_dimacs, parse_plain_proof
 
 # Worked example used throughout: 4 variables, 8 clauses, and the 4-step
 # refutation of it (spacing kept as published).
@@ -52,7 +51,7 @@ def paper_proof():
 
 def propagate(formula, assumptions=()):
     """Unit propagation on a formula under assumptions; True means conflict."""
-    return CheckerState(formula).propagate(list(assumptions))
+    return CheckerState(formula).check_at([-lit for lit in assumptions])
 
 
 def check_at(formula, literals):
@@ -94,12 +93,12 @@ def random_clause_list(rng, n_clauses, max_var=8, min_len=1, max_len=4):
 
 
 def random_proof(rng, max_steps=8, max_var=2000, max_len=5, delete_ratio=0.3):
-    steps = []
+    """(delete, literals) records with literals as a list, as the readers yield them."""
+    records = []
     for _ in range(rng.randint(0, max_steps)):
         lits = random_clause_lits(rng, max_var=max_var, min_len=0, max_len=max_len)
-        kind = DELETE if rng.random() < delete_ratio else ADD
-        steps.append(ProofStep(kind, normalize_clause(lits)))
-    return Proof(steps)
+        records.append((rng.random() < delete_ratio, list(lits)))
+    return records
 
 
 def refutation_steps(clauses, rng=None, max_nodes=20000):

@@ -17,12 +17,8 @@ from dratcheck import (
     WARN_UNIT_DELETION,
     CheckerState,
     Formula,
-    Proof,
-    ProofStep,
-    add_step,
     check_proof,
     decode_varint,
-    delete_step,
     encode_varint,
     map_literal,
     normalize_clause,
@@ -33,7 +29,6 @@ from dratcheck import (
     serialize_plain,
     unmap_literal,
 )
-from dratcheck.model import ADD, DELETE, ClauseError
 from dratcheck.oracle import brute_force_sat
 
 from conftest import (
@@ -127,32 +122,28 @@ def test_criterion_04_round_trip_properties():
 
 
 def _mutate_proof(rng, proof):
-    steps = list(proof.steps)
+    steps = list(proof)
     for _ in range(rng.randint(1, 3)):
         if not steps:
             break
         index = rng.randrange(len(steps))
-        step = steps[index]
+        delete, lits = steps[index]
         action = rng.random()
-        try:
-            if action < 0.3 and step.clause.literals:
-                lits = list(step.clause.literals)
-                pos = rng.randrange(len(lits))
-                lits[pos] = -lits[pos]
-                steps[index] = ProofStep(step.kind, normalize_clause(lits))
-            elif action < 0.5:
-                del steps[index]
-            elif action < 0.7:
-                steps.insert(index, steps[index])
-            elif action < 0.85:
-                other = rng.randrange(len(steps))
-                steps[index], steps[other] = steps[other], steps[index]
-            else:
-                kind = DELETE if step.kind == ADD else ADD
-                steps[index] = ProofStep(kind, step.clause)
-        except ClauseError:
-            pass
-    return Proof(steps)
+        if action < 0.3 and lits:
+            lits = list(lits)
+            pos = rng.randrange(len(lits))
+            lits[pos] = -lits[pos]
+            steps[index] = (delete, lits)
+        elif action < 0.5:
+            del steps[index]
+        elif action < 0.7:
+            steps.insert(index, steps[index])
+        elif action < 0.85:
+            other = rng.randrange(len(steps))
+            steps[index], steps[other] = steps[other], steps[index]
+        else:
+            steps[index] = (not delete, lits)
+    return steps
 
 
 def test_criterion_05_verified_proofs_imply_oracle_unsat():
@@ -177,9 +168,9 @@ def test_criterion_05_verified_proofs_imply_oracle_unsat():
             tree = refutation_steps(clauses, rng, max_nodes=4000)
 
         if tree is not None and mode == 0:
-            proof = Proof([add_step(list(lits)) for lits in tree])
+            proof = [(False, list(lits)) for lits in tree]
         elif tree is not None:
-            proof = _mutate_proof(rng, Proof([add_step(list(lits)) for lits in tree]))
+            proof = _mutate_proof(rng, [(False, list(lits)) for lits in tree])
         else:
             proof = random_proof(rng, max_steps=10, max_var=12, max_len=4)
 
@@ -222,7 +213,7 @@ def test_criterion_07_differential_propagation():
         for _ in range(4):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
-            assert state.propagate(assumptions) == propagate_naive(clauses, assumptions)
+            assert state.check_at([-lit for lit in assumptions]) == propagate_naive(clauses, assumptions)
             instances += 1
 
 
@@ -241,10 +232,7 @@ def test_criterion_08_deletion_warning_semantics():
 
     # verdicts are unaffected: the golden proof with both odd deletions in
     # front still verifies and yields exactly one warning of each kind
-    proof = Proof(
-        [delete_step([1, 2, 4]), delete_step([3])]
-        + parse_plain_proof(PAPER_PROOF).steps
-    )
+    proof = [(True, [1, 2, 4]), (True, [3])] + parse_plain_proof(PAPER_PROOF)
     report = check_proof(formula, proof)
     assert report.verdict == VERIFIED
     assert [w.kind for w in report.warnings] == [WARN_DELETED_MISSING, WARN_UNIT_DELETION]
@@ -301,9 +289,9 @@ def test_criterion_10_mutated_steps_are_rejected_at_their_index():
     ]
     assert non_rat  # the criterion is not vacuous at this step
     for candidate in non_rat:
-        steps = list(golden.steps)
-        steps[2] = add_step(list(candidate))
-        report = check_proof(Formula.from_clauses(PAPER_CLAUSES), Proof(steps))
+        steps = list(golden)
+        steps[2] = (False, list(candidate))
+        report = check_proof(Formula.from_clauses(PAPER_CLAUSES), steps)
         assert report.verdict == REJECTED
         assert report.step == 3
         assert report.reason == "RAT check failed"

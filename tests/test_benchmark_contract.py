@@ -16,6 +16,8 @@ import pytest
 
 from dratcheck import checker, dimacs, model, proofio
 
+from conftest import PAPER_FORMULA, PAPER_PROOF
+
 TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"
 
 CALLED = [
@@ -46,3 +48,22 @@ def _traced_tuple(name: str) -> tuple[str, ...]:
 )
 def test_every_name_the_traced_run_needs_exists(owner, name):
     assert callable(getattr(owner, name, None)), "%s.%s" % (owner.__name__, name)
+
+
+# the worked example, written as the serializers write it
+PAPER_PLAIN = b"-1 0\nd -1 2 4 0\n2 0\n0\n"
+PAPER_BINARY = bytes.fromhex("610300 6403040800 610400 6100".replace(" ", ""))
+
+
+def test_one_parse_result_serves_repeated_checks_and_then_both_serializers():
+    # traced.py checks one parse result seven times and serializes it too:
+    # a parse that returned a one-shot iterator would check an empty proof
+    formula = dimacs.parse_dimacs(PAPER_FORMULA)
+    from_plain = proofio.parse_plain_proof(PAPER_PROOF)
+    from_binary = proofio.parse_binary_proof(PAPER_BINARY)
+    for proof in (from_plain, from_binary):
+        assert iter(proof) is not proof and list(proof) == list(proof) != []
+        reports = [checker.check_proof(formula, proof) for _ in range(2)]
+        assert reports[0] == reports[1] and reports[0].verified and reports[0].step == 4
+    assert proofio.serialize_binary(from_plain) == PAPER_BINARY
+    assert proofio.serialize_plain(from_binary) == PAPER_PLAIN

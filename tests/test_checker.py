@@ -13,18 +13,14 @@ from dratcheck import (
     WARN_UNIT_DELETION,
     CheckerState,
     Formula,
-    Proof,
     ProofError,
-    add_step,
     check_proof,
-    delete_step,
     normalize_clause,
     parse_dimacs,
     parse_plain_proof,
 )
 from dratcheck import checker as checker_module
 from dratcheck.dimacs import clause_records
-from dratcheck.model import DELETE
 from dratcheck.oracle import brute_force_sat
 
 from conftest import (
@@ -67,12 +63,12 @@ def test_propagate_contradictory_assumptions_count_as_conflict():
 
 def test_propagate_restores_state():
     state = CheckerState(paper_f0())
-    assert state.propagate([1, -2, 3]) is True
+    assert state.check_at([-1, 2, -3]) is True
     assert state._trail == []
     assert all(v == 0 for v in state._values)
     # and the same state answers again identically
-    assert state.propagate([1, -2, 3]) is True
-    assert state.propagate([]) is False
+    assert state.check_at([-1, 2, -3]) is True
+    assert state.check_at([]) is False
 
 
 def test_propagate_formula_with_empty_clause_always_conflicts():
@@ -104,7 +100,7 @@ def test_watched_and_naive_propagation_agree_on_random_inputs():
         for _ in range(3):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
-            assert state.propagate(assumptions) == propagate_naive(clauses, assumptions)
+            assert state.check_at([-lit for lit in assumptions]) == propagate_naive(clauses, assumptions)
 
 
 # -- AT / RAT -----------------------------------------------------------------
@@ -225,7 +221,7 @@ def test_apply_delete_unit_clause_is_ignored_with_warning():
 def test_deletion_by_canonical_form_is_flagged_in_the_trace(paper_formula):
     # deletion lines match stored clauses as literal sets; a different
     # written order still matches but is noted for audit
-    proof = Proof([add_step([-1]), delete_step([4, 2, -1]), add_step([2]), add_step([])])
+    proof = [(False, [-1]), (True, [4, 2, -1]), (False, [2]), (False, [])]
     trace = []
     report = check_proof(paper_formula, proof, trace=trace.append)
     assert report.verdict == VERIFIED
@@ -253,7 +249,7 @@ def test_worked_example_verifies_without_warnings(paper_formula, paper_proof):
 
 
 def test_empty_proof_yields_no_empty_clause(paper_formula):
-    report = check_proof(paper_formula, Proof([]))
+    report = check_proof(paper_formula, [])
     assert report.verdict == NO_EMPTY_CLAUSE
 
 
@@ -261,14 +257,14 @@ def test_reordered_worked_example_still_verifies(paper_formula):
     # (2) is RAT with respect to the original formula (slow-path verified),
     # so swapping the two additions leaves the proof valid
     assert check_rat_naive(PAPER_CLAUSES, (2,)) is True
-    proof = Proof([add_step([2]), add_step([-1]), add_step([])])
+    proof = [(False, [2]), (False, [-1]), (False, [])]
     report = check_proof(paper_formula, proof)
     assert report.verdict == VERIFIED
 
 
 def test_rejection_reports_the_failing_step(paper_formula):
     # (1) is not RAT once (-1) has been added and (-1 2 4) deleted
-    proof = Proof([add_step([-1]), delete_step([-1, 2, 4]), add_step([1]), add_step([])])
+    proof = [(False, [-1]), (True, [-1, 2, 4]), (False, [1]), (False, [])]
     report = check_proof(paper_formula, proof)
     assert report.verdict == REJECTED
     assert report.step == 3
@@ -277,16 +273,14 @@ def test_rejection_reports_the_failing_step(paper_formula):
 
 
 def test_steps_after_accepted_empty_clause_are_ignored(paper_formula, paper_proof):
-    extended = Proof(paper_proof.steps + [add_step([1]), delete_step([9, 8])])
+    extended = paper_proof + [(False, [1]), (True, [9, 8])]
     report = check_proof(paper_formula, extended)
     assert report.verdict == VERIFIED
     assert report.step == 4
 
 
 def test_warnings_do_not_change_the_verdict(paper_formula, paper_proof):
-    noisy = Proof(
-        [delete_step([3, 2, 1]), delete_step([4])] + paper_proof.steps
-    )
+    noisy = [(True, [3, 2, 1]), (True, [4])] + paper_proof
     report = check_proof(paper_formula, noisy)
     assert report.verdict == VERIFIED
     assert [w.kind for w in report.warnings] == [WARN_DELETED_MISSING, WARN_UNIT_DELETION]
@@ -298,7 +292,7 @@ def test_deleting_the_reason_of_a_root_unit_is_not_ignored():
     # length 1 as written are protected from deletion: once it is gone,
     # (2) is neither AT nor RAT, where drat-trim would ignore the deletion
     formula = Formula.from_clauses([[1], [-1, 2], [-2, 3], [-3, -1]])
-    report = check_proof(formula, Proof([delete_step([-1, 2]), add_step([2])]))
+    report = check_proof(formula, [(True, [-1, 2]), (False, [2])])
     assert report.verdict == REJECTED
     assert report.step == 2
     assert report.warnings == []
@@ -353,15 +347,15 @@ def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
     # (5 6) is RAT vacuously and names variables the formula lacks
     formula = Formula.from_clauses([[1, 2], [1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]])
     before = (formula.clause_counts(), len(formula), formula.max_variable())
-    steps = [add_step([5, 6]), add_step([6, 5]), delete_step([2, 1]), delete_step([3, 4]),
-             add_step([2]), add_step([2]), add_step([])]
-    assert check_proof(formula, Proof(steps)).verdict == VERIFIED
+    records = [(False, [5, 6]), (False, [6, 5]), (True, [2, 1]), (True, [3, 4]),
+               (False, [2]), (False, [2]), (False, [])]
+    assert check_proof(formula, records).verdict == VERIFIED
     assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
 
     state = CheckerState(formula)
-    for number, step in enumerate(steps, start=1):
-        apply = state.apply_delete if step.kind == DELETE else state.apply_add
-        assert apply(step.clause, number) is None
+    for number, (delete, lits) in enumerate(records, start=1):
+        apply = state.apply_delete if delete else state.apply_add
+        assert apply(normalize_clause(lits), number) is None
     assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
     attributes = vars(state).values()
     assert not any(isinstance(value, Formula) for value in attributes)
@@ -371,7 +365,7 @@ def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
 
 
 def test_duplicate_addition_is_allowed_by_multiset_semantics(paper_formula):
-    proof = Proof([add_step([-1]), add_step([-1]), add_step([2]), add_step([])])
+    proof = [(False, [-1]), (False, [-1]), (False, [2]), (False, [])]
     report = check_proof(paper_formula, proof)
     assert report.verdict == VERIFIED
 
@@ -385,7 +379,7 @@ def test_tree_proofs_of_random_unsat_formulas_verify():
         if steps is None:
             assert brute_force_sat(clauses).satisfiable
             continue
-        proof = Proof([add_step(list(lits)) for lits in steps])
+        proof = [(False, list(lits)) for lits in steps]
         report = check_proof(Formula.from_clauses(clauses), proof)
         assert report.verdict == VERIFIED
         assert not brute_force_sat(clauses).satisfiable
@@ -397,7 +391,7 @@ def test_deleting_each_empty_clause_copy_restores_propagation():
     # each deletion removes one of the two empty-clause copies; once both
     # are gone, (-2) is neither AT nor RAT
     formula = Formula.from_clauses([[], [], [1, 2], [-1, 2]])
-    proof = Proof([delete_step([]), delete_step([]), add_step([-2])])
+    proof = [(True, []), (True, []), (False, [-2])]
     report = check_proof(formula, proof)
     assert report.verdict == REJECTED
     assert report.step == 3
@@ -479,7 +473,7 @@ def test_whole_proofs_agree_with_the_slow_path_replay():
     seen = {}
     for _ in range(400):
         clauses, steps = random_replay_case(rng)
-        proof = Proof([(delete_step if kind == "d" else add_step)(lits) for kind, lits in steps])
+        proof = [(kind == "d", list(lits)) for kind, lits in steps]
         report = check_proof(Formula.from_clauses(clauses), proof)
         verdict, step, warned = replay_naive(clauses, steps)
         assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
@@ -572,7 +566,7 @@ def test_rat_entries_with_several_resolvents_agree_with_the_slow_path_replay():
     several = later_rejections = 0
     for _ in range(500):
         clauses, steps = rat_replay_case(rng)
-        proof = Proof([(delete_step if kind == "d" else add_step)(lits) for kind, lits in steps])
+        proof = [(kind == "d", list(lits)) for kind, lits in steps]
         trace = []
         report = check_proof(Formula.from_clauses(clauses), proof, trace=trace.append)
         verdict, step, warned = replay_naive(clauses, steps)
@@ -662,8 +656,7 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
         assert loaded.clause_counts() == from_formula.clause_counts() == parse_dimacs(text).clause_counts()
         records = [(kind == "d", lits) for kind, lits in steps]
         report = checker_module.check_records(loaded_state(text), records)
-        proof = Proof([(delete_step if delete else add_step)(lits) for delete, lits in records])
-        assert report == check_proof(parse_dimacs(text), proof)
+        assert report == check_proof(parse_dimacs(text), records)
         seen[report.verdict] = seen.get(report.verdict, 0) + 1
         for number, (delete, lits) in enumerate(records, start=1):
             clause = normalize_clause(lits)

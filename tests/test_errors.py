@@ -1,4 +1,5 @@
-"""Exact class, message, line and byte offset of every parse error kind.
+"""Exact class, message, line and byte offset of every parse error kind,
+and the clause errors of hand-built proof records.
 
 Lines are 1-based; offsets are 0-based byte positions in the input buffer.
 A clause error (duplicate or complementary literals) is located at the
@@ -12,7 +13,14 @@ import time
 
 import pytest
 
-from dratcheck import parse_binary_proof, parse_dimacs, parse_plain_proof
+from dratcheck import (
+    check_proof,
+    parse_binary_proof,
+    parse_dimacs,
+    parse_plain_proof,
+    serialize_binary,
+    serialize_plain,
+)
 from dratcheck.checker import CheckerState
 from dratcheck.cli import main
 from dratcheck.dimacs import (
@@ -24,7 +32,7 @@ from dratcheck.dimacs import (
     VarOutOfRangeError,
     clause_records,
 )
-from dratcheck.model import ADD
+from dratcheck.model import DuplicateLiteralError, LiteralRangeError, TautologyError
 from dratcheck.proofio import (
     BadPrefixError,
     InvalidCodeError,
@@ -190,8 +198,7 @@ def test_binary_error_at_byte_0_is_located_through_the_command_line(tmp_path, ca
 
 def test_binary_varint_may_end_in_zero_after_a_continuation_byte():
     # 82 00 is a non-minimal varint for code 2; the next 00 ends the record
-    proof = parse_binary_proof(b"a\x82\x00\x00")
-    assert [(step.kind, step.clause.literals) for step in proof] == [(ADD, (1,))]
+    assert parse_binary_proof(b"a\x82\x00\x00") == [(False, [1])]
 
 
 # Text proofs read as binary: thousands of 'd' bytes and no zero byte after
@@ -210,3 +217,32 @@ def test_binary_error_after_many_records_is_found_in_linear_time(data, error, me
     start = time.perf_counter()
     assert _raised(parse_binary_proof, data) == (error, message, 0, offset)
     assert time.perf_counter() - start < 10
+
+
+# Records built by hand, not read, get normalize_clause's checks from the
+# library functions that take them.
+BAD_RECORD_LITERALS = [
+    ([0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
+    ([3, 0, 0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
+    ([1, 2**31], LiteralRangeError, "literal 2147483648 out of range"),
+    ([-2**31, 1, 1], LiteralRangeError, "literal -2147483648 out of range"),
+    ([-3, 2, 3], TautologyError, "complementary literals 3 and -3"),
+    ([2, 5, 2], DuplicateLiteralError, "duplicate literal 2"),
+]
+
+
+@pytest.mark.parametrize("delete", [False, True])
+@pytest.mark.parametrize("lits,error,message", BAD_RECORD_LITERALS)
+@pytest.mark.parametrize(
+    "function",
+    [lambda records: check_proof(parse_dimacs(b"p cnf 1 2\n1 0\n-1 0\n"), records),
+     serialize_plain, serialize_binary],
+    ids=["check_proof", "serialize_plain", "serialize_binary"],
+)
+def test_hand_built_records_get_the_clause_checks_of_the_readers(function, lits, error, message, delete):
+    # the record after the empty clause is still read, as check_records reads on
+    records = [(False, [1, -4]), (False, []), (delete, lits)]
+    with pytest.raises(error) as info:
+        function(records)
+    assert str(info.value) == message
+    assert function(records[:2]) is not None

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from dratcheck import (
     DimacsError,
     Formula,
-    Proof,
     ProofError,
     parse_binary_proof,
     parse_dimacs,
     parse_plain_proof,
     serialize_plain,
 )
-from dratcheck.model import ADD, DELETE
 
 from conftest import write_dimacs
 from slowpath import NaiveBinaryError, parse_binary_naive
@@ -43,6 +41,15 @@ def assert_located(exc, data):
         return
     assert 0 <= exc.offset < len(data)
     assert data.count(b"\n", 0, exc.offset) == exc.line - 1
+
+
+def is_records(proof):
+    """A parsed proof is a list of (delete, literals) records: a bool and a list of ints."""
+    return type(proof) is list and all(
+        type(record) is tuple and len(record) == 2 and type(record[0]) is bool
+        and type(record[1]) is list and all(type(lit) is int for lit in record[1])
+        for record in proof
+    )
 
 
 def parses_or_locates(parse, error, data):
@@ -76,7 +83,7 @@ def test_any_bytes_give_a_formula_or_a_located_dimacs_error(data):
 @settings(max_examples=400)
 def test_any_bytes_give_a_proof_or_a_located_proof_error(data):
     proof = parses_or_locates(parse_plain_proof, ProofError, data)
-    assert proof is None or isinstance(proof, Proof)
+    assert proof is None or is_records(proof)
 
 
 @given(written_clauses(), st.data())
@@ -100,7 +107,7 @@ def test_valid_proof_with_one_byte_mutated(written, data):
     byte = data.draw(st.sampled_from(ALPHABET + [data.draw(st.integers(0, 255))]))
     mutated = text[:position] + bytes([byte]) + text[position + 1 :]
     proof = parses_or_locates(parse_plain_proof, ProofError, mutated)
-    assert proof is None or isinstance(proof, Proof)
+    assert proof is None or is_records(proof)
 
 
 @given(written_clauses())
@@ -124,11 +131,9 @@ def test_valid_proof_parses_to_its_steps_and_round_trips(written, deletes):
         for i, lits in enumerate(clauses)
     )
     proof = parse_plain_proof(text)
-    assert [(step.kind, step.clause.literals) for step in proof] == [
-        (DELETE if i < len(deletes) and deletes[i] else ADD, tuple(lits)) for i, lits in enumerate(clauses)
-    ]
+    assert proof == [(i < len(deletes) and deletes[i], list(lits)) for i, lits in enumerate(clauses)]
     assert serialize_plain(proof) == text.replace(b"\r\n", b"\n")
-    assert parse_plain_proof(serialize_plain(proof)).steps == proof.steps
+    assert parse_plain_proof(serialize_plain(proof)) == proof
 
 
 # record prefixes, terminators, reserved codes, varint continuations and overflow
@@ -149,4 +154,4 @@ def test_binary_reader_matches_the_byte_at_a_time_reference(head, body):
     except ProofError as exc:
         assert (type(exc).__name__, exc.message, exc.offset) == expected
     else:
-        assert [("d" if step.kind == DELETE else "a", step.clause.literals) for step in proof] == expected
+        assert [("d" if delete else "a", tuple(lits)) for delete, lits in proof] == expected

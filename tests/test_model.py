@@ -13,12 +13,10 @@ from dratcheck import (
     CheckReport,
     DeletionWarning,
     Formula,
-    Proof,
-    ProofStep,
     SourceClause,
     normalize_clause,
 )
-from dratcheck.model import ADD, DELETE, DuplicateLiteralError, LiteralRangeError, TautologyError
+from dratcheck.model import DuplicateLiteralError, LiteralRangeError, TautologyError
 
 from conftest import formula_value
 
@@ -145,28 +143,19 @@ def test_value_classes_compare_and_hash_by_field():
     assert clause == SourceClause((2, -1), (-1, 2))
     assert clause != SourceClause((-1, 2), (-1, 2))
     assert hash(clause) == hash(SourceClause(literals=(2, -1), canonical=(-1, 2)))
-    step = ProofStep(ADD, clause)
-    assert step == ProofStep(kind=ADD, clause=normalize_clause([2, -1]))
-    assert step != ProofStep(DELETE, clause)
-    assert len({step, ProofStep(ADD, normalize_clause([2, -1]))}) == 1
-    assert repr(step) == "ProofStep(kind='add', clause=SourceClause(literals=(2, -1), canonical=(-1, 2)))"
-    assert Proof([step]) == Proof(steps=[ProofStep(ADD, clause)])
-    assert Proof() == Proof([]) != Proof([step])
+    assert repr(clause) == "SourceClause(literals=(2, -1), canonical=(-1, 2))"
     warning = DeletionWarning(3, WARN_UNIT_DELETION, clause)
     assert warning == DeletionWarning(step=3, kind=WARN_UNIT_DELETION, clause=clause)
     assert hash(warning) == hash(DeletionWarning(3, WARN_UNIT_DELETION, clause))
     assert CheckReport(VERIFIED, step=2) == CheckReport(VERIFIED, [], 2)
     assert CheckReport(VERIFIED) != CheckReport(REJECTED)
-    assert clause != (2, -1) and step != (ADD, clause)
+    assert clause != (2, -1)
 
 
 def test_check_reports_and_proofs_get_their_own_lists():
     first, second = CheckReport(NO_EMPTY_CLAUSE), CheckReport(NO_EMPTY_CLAUSE)
     first.warnings.append(DeletionWarning(1, WARN_UNIT_DELETION, normalize_clause([1])))
     assert second.warnings == [] and CheckReport(VERIFIED).warnings == []
-    empty = Proof()
-    empty.steps.append(ProofStep(ADD, normalize_clause([])))
-    assert Proof().steps == []
     with pytest.raises(TypeError):
         hash(first)
 
@@ -175,8 +164,8 @@ def test_value_fields_are_assignable_and_hash_follows_them():
     # plain __slots__ classes: assigning a field changes equality and hash,
     # so a value held in a set or as a dict key must not be changed
     clause = normalize_clause([1, 2])
-    step = ProofStep(ADD, clause)
-    step.clause = normalize_clause([3])
-    assert step == ProofStep(ADD, normalize_clause([3]))
-    assert hash(step) == hash(ProofStep(ADD, normalize_clause([3])))
-    assert step != ProofStep(ADD, clause)
+    warning = DeletionWarning(1, WARN_UNIT_DELETION, clause)
+    warning.clause = normalize_clause([3])
+    assert warning == DeletionWarning(1, WARN_UNIT_DELETION, normalize_clause([3]))
+    assert hash(warning) == hash(DeletionWarning(1, WARN_UNIT_DELETION, normalize_clause([3])))
+    assert warning != DeletionWarning(1, WARN_UNIT_DELETION, clause)

@@ -16,18 +16,14 @@ ROOT_NAMES = [
     "Formula",
     "MAX_LITERAL",
     "NO_EMPTY_CLAUSE",
-    "Proof",
     "ProofError",
-    "ProofStep",
     "REJECTED",
     "SourceClause",
     "VERIFIED",
     "WARN_DELETED_MISSING",
     "WARN_UNIT_DELETION",
-    "add_step",
     "check_proof",
     "decode_varint",
-    "delete_step",
     "encode_varint",
     "map_literal",
     "normalize_clause",
@@ -40,7 +36,7 @@ ROOT_NAMES = [
 ]
 
 # exported from a submodule only
-MODEL_NAMES = ["ADD", "DELETE", "ClauseError", "TautologyError", "DuplicateLiteralError", "LiteralRangeError"]
+MODEL_NAMES = ["ClauseError", "TautologyError", "DuplicateLiteralError", "LiteralRangeError"]
 PROOFIO_NAMES = ["BINARY", "PLAIN", "detect_encoding"]
 
 

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from dratcheck import (
     DimacsError,
     MAX_LITERAL,
-    Proof,
     ProofError,
-    add_step,
     decode_varint,
-    delete_step,
     encode_varint,
     map_literal,
     parse_binary_proof,
@@ -21,7 +18,6 @@ from dratcheck import (
     serialize_plain,
     unmap_literal,
 )
-from dratcheck.model import ADD, DELETE
 from dratcheck.proofio import (
     BINARY,
     PLAIN,
@@ -30,7 +26,9 @@ from dratcheck.proofio import (
     TruncatedRecordError,
     TruncatedVarintError,
     VarintOverflowError,
+    binary_records,
     detect_encoding,
+    plain_records,
 )
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_PROOF, random_proof
@@ -106,22 +104,24 @@ def test_literal_map_round_trip(var, negative):
 
 
 def test_parse_plain_worked_example():
-    proof = parse_plain_proof(PAPER_PROOF)
-    assert [(s.kind, s.clause.literals) for s in proof] == [
-        (ADD, (-1,)),
-        (DELETE, (-1, 2, 4)),
-        (ADD, (2,)),
-        (ADD, ()),
-    ]
+    assert parse_plain_proof(PAPER_PROOF) == [(False, [-1]), (True, [-1, 2, 4]), (False, [2]), (False, [])]
+
+
+def test_the_parsers_list_the_records_of_the_readers():
+    for data in (PAPER_PROOF.encode(), CONVERSION_PLAIN, b""):
+        assert parse_plain_proof(data) == list(plain_records(data))
+    for data in (CONVERSION_BINARY, b""):
+        assert parse_binary_proof(data) == list(binary_records(data))
+    assert type(parse_plain_proof(CONVERSION_PLAIN)) is list
+    assert type(parse_binary_proof(CONVERSION_BINARY)) is list
 
 
 def test_parse_plain_empty_input():
-    assert parse_plain_proof(b"").steps == []
+    assert parse_plain_proof(b"") == []
 
 
 def test_parse_plain_comment_then_empty_clause():
-    proof = parse_plain_proof("c hi\n0\n")
-    assert [(s.kind, s.clause.literals) for s in proof] == [(ADD, ())]
+    assert parse_plain_proof("c hi\n0\n") == [(False, [])]
 
 
 def test_parse_plain_errors():
@@ -152,20 +152,15 @@ def test_proof_literal_errors_are_proof_errors():
 
 def test_parse_plain_crlf_proof():
     proof = parse_plain_proof(b"d 1 2 0\r\n-1\t0\r\nc x\r\n0\r\n")
-    assert [(s.kind, s.clause.literals) for s in proof] == [(DELETE, (1, 2)), (ADD, (-1,)), (ADD, ())]
+    assert proof == [(True, [1, 2]), (False, [-1]), (False, [])]
 
 
 def test_parse_binary_worked_example():
-    proof = parse_binary_proof(CONVERSION_BINARY)
-    assert [(s.kind, s.clause.literals) for s in proof] == [
-        (DELETE, (-63, -8193)),
-        (ADD, (129, -8191)),
-    ]
+    assert parse_binary_proof(CONVERSION_BINARY) == [(True, [-63, -8193]), (False, [129, -8191])]
 
 
 def test_parse_binary_add_of_empty_clause():
-    proof = parse_binary_proof(bytes([0x61, 0x00]))
-    assert [(s.kind, s.clause.literals) for s in proof] == [(ADD, ())]
+    assert parse_binary_proof(bytes([0x61, 0x00])) == [(False, [])]
 
 
 def test_parse_binary_errors():
@@ -180,9 +175,9 @@ def test_parse_binary_errors():
 
 
 def test_serialize_plain_layout():
-    assert serialize_plain(Proof([add_step([])])) == b"0\n"
-    assert serialize_plain(Proof([delete_step([])])) == b"d 0\n"
-    two_steps = Proof([delete_step([-63, -8193]), add_step([129, -8191])])
+    assert serialize_plain([(False, [])]) == b"0\n"
+    assert serialize_plain([(True, [])]) == b"d 0\n"
+    two_steps = [(True, [-63, -8193]), (False, [129, -8191])]
     assert serialize_plain(two_steps) == CONVERSION_PLAIN
     assert len(CONVERSION_PLAIN) == 26
 
@@ -193,11 +188,11 @@ def test_serialize_plain_of_worked_example_drops_alignment_spaces():
 
 
 def test_serialize_binary_layout():
-    two_steps = Proof([delete_step([-63, -8193]), add_step([129, -8191])])
+    two_steps = [(True, [-63, -8193]), (False, [129, -8191])]
     assert serialize_binary(two_steps) == CONVERSION_BINARY
     assert len(CONVERSION_BINARY) == 12
-    assert serialize_binary(Proof([add_step([])])) == bytes([0x61, 0x00])
-    assert serialize_binary(Proof([add_step([1])])) == bytes([0x61, 0x02, 0x00])
+    assert serialize_binary([(False, [])]) == bytes([0x61, 0x00])
+    assert serialize_binary([(False, [1])]) == bytes([0x61, 0x02, 0x00])
 
 
 def test_plain_to_binary_conversion_is_a_fixed_point():
@@ -227,7 +222,7 @@ def test_detect_encoding_finds_a_late_non_text_byte():
     # one record of 48 literals whose codes are all printable bytes
     record = b"a" + bytes(range(0x20, 0x7F, 2)) + b"\x00"
     assert detect_encoding(record) == BINARY
-    assert len(parse_binary_proof(record).steps[0].clause) == 48
+    assert len(parse_binary_proof(record)[0][1]) == 48
     # only the last byte is neither 'a' nor 'd'
     data = b"a" + b"da" * 5000 + b"\x00"
     assert detect_encoding(data) == BINARY
@@ -238,7 +233,7 @@ def test_detect_encoding_finds_a_late_non_text_byte():
 def test_serialize_binary_peak_memory_stays_small():
     rng = random.Random(7)
     signs = (1, -1)
-    proof = Proof([add_step([v * rng.choice(signs) for v in rng.sample(range(1, 200), 10)]) for _ in range(4000)])
+    proof = [(False, [v * rng.choice(signs) for v in rng.sample(range(1, 200), 10)]) for _ in range(4000)]
     tracemalloc.start()
     try:
         data = serialize_binary(proof)
@@ -250,17 +245,16 @@ def test_serialize_binary_peak_memory_stays_small():
 
 
 step_strategy = st.tuples(
-    st.sampled_from([ADD, DELETE]),
+    st.booleans(),
     st.lists(st.integers(min_value=1, max_value=50000), unique=True, max_size=5).flatmap(
-        lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs])
+        lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs]).map(list)
     ),
 )
 
 
 @given(st.lists(step_strategy, max_size=8))
 @settings(max_examples=200)
-def test_proof_round_trips_preserve_order_and_kind(steps):
-    proof = Proof([add_step(l) if k == ADD else delete_step(l) for k, l in steps])
+def test_proof_round_trips_preserve_order_and_kind(proof):
     assert parse_plain_proof(serialize_plain(proof)) == proof
     assert parse_binary_proof(serialize_binary(proof)) == proof
 
