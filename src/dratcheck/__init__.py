@@ -10,7 +10,6 @@ from .model import (
     CheckReport,
     DeletionWarning,
     Formula,
-    SourceClause,
     normalize_clause,
 )
 from .dimacs import DimacsError, parse_dimacs
@@ -40,7 +39,6 @@ __all__ = [
     "DimacsError",
     "Formula",
     "ProofError",
-    "SourceClause",
     "check_proof",
     "decode_varint",
     "encode_varint",

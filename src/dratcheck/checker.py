@@ -14,8 +14,6 @@ from .model import (
     DeletionWarning,
     Formula,
     Memo,
-    SourceClause,
-    canonical_form,
     checked_records,
     format_clause,
 )
@@ -32,15 +30,16 @@ class CheckerState:
     is a list indexed by code. Memory thus follows the number of distinct
     variables, not the largest literal value.
 
-    Clauses come in through load, as canonical literal tuples, and a formula
-    given is only read. A distinct non-empty clause is one code list while
-    at least one copy is present; duplicate copies share it, since
-    propagation cannot tell them apart, and copies beyond the first are
-    counted in a sparse dict keyed by the list's ``id``. ``_ids`` maps each
-    clause's codes in canonical order, which are the ints held in
-    ``_code``, to its code list, whose two watched literals sit in
-    positions 0 and 1; watch and occurrence lists hold the code lists
-    themselves. No parsed literal is kept. Unit clauses are never watched,
+    Clauses come in through load as literal sequences in written order, and
+    a formula given is only read. A distinct non-empty clause is one code
+    list, in the order its first copy was written, while at least one copy
+    is present; duplicate copies share it, since propagation cannot tell
+    them apart, and copies beyond the first are counted in a sparse dict
+    keyed by the list's ``id``. ``_ids`` maps each clause's sorted codes,
+    the ints held in ``_code``, to its code list, so any order of the same
+    literals finds it; the two watched literals sit in positions 0 and 1,
+    and watch and occurrence lists hold the code lists themselves. No
+    parsed literal is kept. Unit clauses are never watched,
     as unit deletions are ignored: their codes are asserted whenever a
     propagation starts from an empty trail. Copies of the empty clause turn
     every propagation into a conflict.
@@ -85,7 +84,8 @@ class CheckerState:
         return tuple(map(self._literal.__getitem__, codes))
 
     def load(self, clauses) -> None:
-        """Add one copy of each canonical clause, duplicates and the empty clause included."""
+        """Add one copy of each clause, a duplicate-free literal sequence; duplicate
+        clauses and the empty clause included."""
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
         surplus = self._surplus
         code_of = self._code.__getitem__
@@ -93,20 +93,21 @@ class CheckerState:
             if not clause:
                 self._empty_copies += 1
                 continue
-            key = tuple(map(code_of, clause))
-            codes = ids.get(key)
-            if codes is not None:
-                surplus[id(codes)] = surplus.get(id(codes), 0) + 1
+            codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
+            key = tuple(sorted(codes))
+            stored = ids.get(key)
+            if stored is not None:
+                surplus[id(stored)] = surplus.get(id(stored), 0) + 1
                 continue
-            ids[key] = codes = [*key][:]  # a slice is allocated at its exact size
+            ids[key] = codes
             if occurs is not None:
-                for code in key:
+                for code in codes:
                     occurs[code].append(codes)
-            if len(key) == 1:
-                units.append(key[0])
+            if len(codes) == 1:
+                units.append(codes[0])
             else:
-                watches[key[0]].append(codes)
-                watches[key[1]].append(codes)
+                watches[codes[0]].append(codes)
+                watches[codes[1]].append(codes)
 
     def _occurrences(self) -> list[list[list[int]]]:
         """The occurrence lists, built oldest first on first use."""
@@ -117,14 +118,16 @@ class CheckerState:
                     self._occurs[code].append(codes)
         return self._occurs
 
-    def _detach_copy(self, clause: tuple[int, ...]) -> bool:
+    def _detach_copy(self, literals) -> bool:
         # remove one copy; False if none is present. Units never reach here
-        if not clause:
+        if not literals:
             present = self._empty_copies > 0
             self._empty_copies -= present
             return present
-        # a variable never seen is in no clause, and gets no codes here
-        key = tuple(map(self._code.get, clause))
+        found = [*map(self._code.get, literals)]
+        if None in found:
+            return False  # a variable never seen is in no clause, and gets no codes here
+        key = tuple(sorted(found))
         codes = self._ids.get(key)
         if codes is None:
             return False
@@ -214,27 +217,27 @@ class CheckerState:
         conflict? With _keep, a fixpoint without conflict stays on the trail."""
         return self._conflict([code ^ 1 for code in self._codes(literals)], _keep)
 
-    def check_rat(self, clause: SourceClause):
-        """AT check first, then resolvents on the first written literal.
+    def check_rat(self, literals):
+        """AT check of the literals as written, then resolvents on the first one.
 
         A resolvent holds the lemma, so its check propagates on top of the
         lemma's fixpoint. Returns (ok, pivot, failed_resolvent): pivot and
         failed_resolvent are None unless the resolvent stage ran and failed.
         """
-        if self.check_at(clause.canonical, _keep=True):
-            self._note("AT check passed for %s", clause.literals)
+        if self.check_at(literals, _keep=True):
+            self._note("AT check passed for %s", literals)
             return True, None, None
         try:
-            pivot = clause.literals[0]
-            self._note("AT failed for %s; RAT check with pivot %d", clause.literals, pivot)
-            own = set(clause.canonical)
+            pivot = literals[0]
+            self._note("AT failed for %s; RAT check with pivot %d", literals, pivot)
+            own = set(literals)
             for codes in self._occurrences()[self._code[-pivot]]:
                 other = tuple(sorted(self._literals(codes), key=abs))
                 rest = [lit for lit in other if lit != -pivot]
                 if any(-lit in own for lit in rest):
                     self._note("resolvent with %s is a tautology, trivially redundant", other)
                     continue
-                resolvent = tuple(clause.literals) + tuple(lit for lit in rest if lit not in own)
+                resolvent = (*literals, *(lit for lit in rest if lit not in own))
                 if self.check_at(resolvent):
                     self._note("resolvent %s (with %s): AT passed", resolvent, other)
                 else:
@@ -246,55 +249,57 @@ class CheckerState:
 
     # -- proof steps -----------------------------------------------------------
 
-    def apply_add(self, clause: SourceClause, step: int) -> CheckReport | None:
-        """Check and add one clause; on failure returns the rejecting report instead."""
-        if not clause.canonical:
+    def apply_add(self, literals, step: int) -> CheckReport | None:
+        """Check and add one clause, its literals as written; on failure
+        returns the rejecting report instead."""
+        if not literals:
             if not self.check_at(()):
-                return CheckReport(REJECTED, step=step, reason="empty clause not AT", clause=clause)
+                return CheckReport(REJECTED, step=step, reason="empty clause not AT", clause=())
             self._note("empty clause has AT")
         else:
-            ok, pivot, resolvent = self.check_rat(clause)
+            ok, pivot, resolvent = self.check_rat(literals)
             if not ok:
                 return CheckReport(
                     REJECTED,
                     step=step,
                     reason="RAT check failed",
-                    clause=clause,
+                    clause=tuple(literals),
                     pivot=pivot,
                     failed_resolvent=resolvent,
                 )
-        self.load((clause.canonical,))
+        self.load((literals,))
         return None
 
-    def apply_delete(self, clause: SourceClause, step: int) -> DeletionWarning | None:
-        """Delete one copy; unit deletions and missing clauses warn instead."""
-        canonical = clause.canonical
-        if len(canonical) == 1:
-            self._note("delete %s: unit clause, ignored", clause.literals)
-            return DeletionWarning(step, WARN_UNIT_DELETION, clause)
-        if not self._detach_copy(canonical):
-            self._note("delete %s: not in formula, ignored", clause.literals)
-            return DeletionWarning(step, WARN_DELETED_MISSING, clause)
-        if clause.literals != canonical:
-            self._note(
-                "delete %s: matched stored clause %s up to literal order",
-                clause.literals,
-                canonical,
-            )
-        else:
-            self._note("delete %s: removed one copy", clause.literals)
+    def apply_delete(self, literals, step: int) -> DeletionWarning | None:
+        """Delete one copy of the clause, in any literal order; unit deletions
+        and missing clauses warn instead."""
+        if len(literals) == 1:
+            self._note("delete %s: unit clause, ignored", literals)
+            return DeletionWarning(step, WARN_UNIT_DELETION, tuple(literals))
+        if not self._detach_copy(literals):
+            self._note("delete %s: not in formula, ignored", literals)
+            return DeletionWarning(step, WARN_DELETED_MISSING, tuple(literals))
+        if self.trace is not None:
+            canonical = sorted(literals, key=abs)
+            if canonical != [*literals]:
+                self._note("delete %s: matched stored clause %s up to literal order", literals, canonical)
+            else:
+                self._note("delete %s: removed one copy", literals)
         return None
 
     def clause_counts(self) -> dict[tuple[int, ...], int]:
+        """Copies of each clause, its literals sorted by variable."""
         extra = self._surplus.get
-        counts = {self._literals(key): 1 + extra(id(codes), 0) for key, codes in self._ids.items()}
+        counts = {
+            tuple(sorted(self._literals(codes), key=abs)): 1 + extra(id(codes), 0) for codes in self._ids.values()
+        }
         return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:
-        """Trace message % args, with tuple args written as clauses; the
-        string is only built when someone is listening."""
+        """Trace message % args, with tuple and list args written as clauses;
+        the string is only built when someone is listening."""
         if self.trace is not None:
-            self.trace(message % tuple(format_clause(a) if isinstance(a, tuple) else a for a in args))
+            self.trace(message % tuple(format_clause(a) if isinstance(a, (tuple, list)) else a for a in args))
 
 
 def check_records(state: CheckerState, records, trace=None) -> CheckReport:
@@ -310,16 +315,15 @@ def check_records(state: CheckerState, records, trace=None) -> CheckReport:
     records = iter(records)
     try:
         for index, (delete, literals) in enumerate(records, start=1):
-            clause = SourceClause(tuple(literals), canonical_form(literals))
             if trace is not None:
                 state.trace = lambda msg, i=index: trace("step %d: %s" % (i, msg))
             if delete:
-                warning = state.apply_delete(clause, index)
+                warning = state.apply_delete(literals, index)
                 if warning is not None:
                     warnings.append(warning)
                 continue
-            rejection = state.apply_add(clause, index)
-            if rejection is not None or not clause.canonical:
+            rejection = state.apply_add(literals, index)
+            if rejection is not None or not literals:
                 report = rejection or CheckReport(VERIFIED, step=index)
                 report.warnings = warnings
                 break

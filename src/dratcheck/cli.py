@@ -18,12 +18,12 @@ def _read(path: str) -> bytes:
 
 
 def _open_proof(path: str, encoding: str | None):
+    """(reader, data, encoding): reader(data) yields the proof's records."""
     data = _read(path)
     if encoding is None:
         encoding = proofio.detect_encoding(data)
-    if encoding == proofio.BINARY:
-        return proofio.binary_records(data), encoding, len(data)
-    return proofio.plain_records(data), encoding, len(data)
+    reader = proofio.binary_records if encoding == proofio.BINARY else proofio.plain_records
+    return reader, data, encoding
 
 
 def run_check(args) -> int:
@@ -36,14 +36,14 @@ def run_check(args) -> int:
         print("c error: %s: %s" % (args.formula, exc))
         return 2
     try:
-        records, encoding, _ = _open_proof(args.proof, args.encoding)
+        reader, data, encoding = _open_proof(args.proof, args.encoding)
         trace = None
         if args.verbosity > 0:
-            # the first line needs the step count, and no trace may precede a parse error
-            records = list(records)
-            print("c parsed %s proof with %d steps" % (encoding, len(records)))
+            # the first line needs the step count, and no trace may precede a
+            # parse error: a first pass counts the steps and holds none of them
+            print("c parsed %s proof with %d steps" % (encoding, sum(1 for _ in reader(data))))
             trace = lambda message: print("c " + message)
-        report = checker.check_records(state, records, trace=trace)
+        report = checker.check_records(state, reader(data), trace=trace)
     except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2
@@ -54,9 +54,9 @@ def run_check(args) -> int:
                 text = "ignored deletion of unit clause"
             else:
                 text = "deleted clause not in formula"
-            print("c warning: step %d: %s %s" % (warning.step, text, format_clause(warning.clause.literals)))
+            print("c warning: step %d: %s %s" % (warning.step, text, format_clause(warning.clause)))
         if report.verdict == REJECTED:
-            print("c step %d: %s: %s" % (report.step, report.reason, format_clause(report.clause.literals)))
+            print("c step %d: %s: %s" % (report.step, report.reason, format_clause(report.clause)))
             if report.failed_resolvent is not None:
                 print(
                     "c   pivot %d, first failing resolvent %s"
@@ -75,19 +75,19 @@ def run_check(args) -> int:
 def run_convert(args) -> int:
     target = args.to
     try:
-        records, encoding, in_bytes = _open_proof(args.proof, args.encoding)
+        reader, data, encoding = _open_proof(args.proof, args.encoding)
         # the whole input is read before the output is opened, so a parse error leaves it untouched
-        data = proofio.write_records(records, target)
+        converted = proofio.write_records(reader(data), target)
     except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2
     try:
         with open(args.output, "wb") as handle:
-            handle.write(data)
+            handle.write(converted)
     except OSError as exc:
         print("c error: %s: %s" % (args.output, exc))
         return 2
-    print("c read %d bytes (%s), wrote %d bytes (%s)" % (in_bytes, encoding, len(data), target))
+    print("c read %d bytes (%s), wrote %d bytes (%s)" % (len(data), encoding, len(converted), target))
     return 0
 
 

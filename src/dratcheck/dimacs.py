@@ -56,7 +56,7 @@ def _parse_header(reader: Lines):
 
 
 def clause_records(data, header=None):
-    """Yield each clause copy of a DIMACS CNF formula in canonical order.
+    """Yield each clause copy of a DIMACS CNF formula as its list of literals, in written order.
 
     Comment lines are skipped anywhere; blanks are space, tab, newline and a
     carriage return before a newline, so a clause may span lines and several
@@ -70,12 +70,13 @@ def clause_records(data, header=None):
         header += var_max, num_cls
     found = 0
     for _, lits, where in reader.clauses(body, var_max):
-        try:
-            clause = canonical_form(lits)
-        except ClauseError as exc:
-            raise reader.located(DimacsError, str(exc), where) from exc
+        if len(set(map(abs, lits))) != len(lits):
+            try:
+                canonical_form(lits)
+            except ClauseError as exc:
+                raise reader.located(DimacsError, str(exc), where) from exc
         found += 1
-        yield clause
+        yield lits
     if reader.unterminated is not None:
         message = "end of input inside a clause (missing terminating 0)"
         raise reader.located(UnterminatedClauseError, message, reader.unterminated)
@@ -88,7 +89,8 @@ def parse_dimacs(data) -> Formula:
     header: list[int] = []
     counts: dict[tuple[int, ...], int] = {}
     get = counts.get
-    for clause in clause_records(data, header):
+    for lits in clause_records(data, header):
+        clause = tuple(sorted(lits, key=abs))  # the canonical form of a valid clause
         counts[clause] = get(clause, 0) + 1
     return Formula.from_counts(counts, *header)
 

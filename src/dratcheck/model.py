@@ -88,24 +88,6 @@ class _Value:
         return "%s(%s)" % (type(self).__name__, fields)
 
 
-class SourceClause(_Value):
-    """A clause as written, plus its canonical (sorted) form.
-
-    The textual order matters to the checker: the first written literal is
-    the resolution pivot. Everything else (deletion matching, formula
-    storage) works on the canonical form.
-    """
-
-    __slots__ = ("literals", "canonical")
-
-    def __init__(self, literals: tuple[int, ...], canonical: tuple[int, ...]):
-        self.literals = literals
-        self.canonical = canonical
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-
 def canonical_form(literals) -> tuple[int, ...]:
     """The literals sorted by variable.
 
@@ -124,8 +106,8 @@ def canonical_form(literals) -> tuple[int, ...]:
     return tuple(sorted(literals, key=abs))
 
 
-def normalize_clause(literals) -> SourceClause:
-    """Validate a literal sequence and attach its canonical form.
+def normalize_clause(literals) -> tuple[int, ...]:
+    """Validate a literal sequence and return its canonical form.
 
     Raises the errors of canonical_form, and LiteralRangeError on
     out-of-range literals.
@@ -133,7 +115,7 @@ def normalize_clause(literals) -> SourceClause:
     original = tuple(literals)
     for lit in original:
         check_literal(lit)
-    return SourceClause(original, canonical_form(original))
+    return canonical_form(original)
 
 
 def checked_records(records):
@@ -175,7 +157,7 @@ class Formula:
     def from_clauses(cls, clause_literals, declared_vars=None, declared_clauses=None) -> "Formula":
         counts: dict[tuple[int, ...], int] = {}
         for lits in clause_literals:
-            clause = normalize_clause(lits).canonical
+            clause = normalize_clause(lits)
             counts[clause] = counts.get(clause, 0) + 1
         formula = cls.from_counts(counts)
         formula.declared_vars = formula.max_variable() if declared_vars is None else declared_vars
@@ -238,10 +220,10 @@ class Formula:
 class DeletionWarning(_Value):
     __slots__ = ("step", "kind", "clause")
 
-    def __init__(self, step: int, kind: str, clause: SourceClause):
+    def __init__(self, step: int, kind: str, clause: tuple[int, ...]):
         self.step = step  # 1-based proof line
         self.kind = kind  # WARN_DELETED_MISSING or WARN_UNIT_DELETION
-        self.clause = clause
+        self.clause = clause  # the literals as written
 
 
 class CheckReport(_Value):
@@ -249,14 +231,15 @@ class CheckReport(_Value):
 
     verdict is VERIFIED, REJECTED or NO_EMPTY_CLAUSE. On rejection, step
     holds the 1-based index of the failing line and the remaining fields
-    describe the failed check: the offending clause, the pivot literal and
-    the first resolvent whose propagation check did not conflict.
+    describe the failed check: the offending clause's literals as written,
+    the pivot literal and the first resolvent whose propagation check did
+    not conflict.
     """
 
     __slots__ = ("verdict", "warnings", "step", "reason", "clause", "pivot", "failed_resolvent")
 
     def __init__(self, verdict: str, warnings: list[DeletionWarning] | None = None,
-                 step: int | None = None, reason: str | None = None, clause: SourceClause | None = None,
+                 step: int | None = None, reason: str | None = None, clause: tuple[int, ...] | None = None,
                  pivot: int | None = None, failed_resolvent: tuple[int, ...] | None = None):
         self.verdict = verdict
         self.warnings = [] if warnings is None else warnings

@@ -1,6 +1,6 @@
 import pytest
 
-from dratcheck import CheckerState, normalize_clause, parse_dimacs, parse_plain_proof
+from dratcheck import CheckerState, parse_dimacs, parse_plain_proof
 
 # Worked example used throughout: 4 variables, 8 clauses, and the 4-step
 # refutation of it (spacing kept as published).
@@ -61,7 +61,7 @@ def check_at(formula, literals):
 
 def check_rat(formula, literals):
     """Resolution asymmetric tautology test; the pivot is the first written literal."""
-    ok, _, _ = CheckerState(formula).check_rat(normalize_clause(literals))
+    ok, _, _ = CheckerState(formula).check_rat(literals)
     return ok
 
 

@@ -21,7 +21,6 @@ from dratcheck import (
     decode_varint,
     encode_varint,
     map_literal,
-    normalize_clause,
     parse_binary_proof,
     parse_dimacs,
     parse_plain_proof,
@@ -195,7 +194,7 @@ def test_criterion_06_rat_additions_preserve_satisfiability():
         candidate = random_clause_lits(rng, max_var=8, min_len=1, max_len=3)
         formula = Formula.from_clauses(clauses)
         state = CheckerState(formula)
-        ok, _, _ = state.check_rat(normalize_clause(candidate))
+        ok, _, _ = state.check_rat(candidate)
         if not ok:
             continue
         if not brute_force_sat(clauses).satisfiable:
@@ -222,11 +221,11 @@ def test_criterion_08_deletion_warning_semantics():
 
     state = CheckerState(formula)
     before = state.clause_counts()
-    warning = state.apply_delete(normalize_clause([1, 2, 4]), 1)
+    warning = state.apply_delete([1, 2, 4], 1)
     assert warning is not None and warning.kind == WARN_DELETED_MISSING
     assert state.clause_counts() == before
 
-    warning = state.apply_delete(normalize_clause([3]), 2)
+    warning = state.apply_delete([3], 2)
     assert warning is not None and warning.kind == WARN_UNIT_DELETION
     assert state.clause_counts() == before
 

@@ -160,18 +160,18 @@ def test_check_rat_agrees_with_slow_path_on_random_inputs():
 
 def test_apply_add_extends_the_formula():
     state = CheckerState(paper_f0())
-    assert state.apply_add(normalize_clause([-1]), 1) is None
+    assert state.apply_add([-1], 1) is None
     assert state.clause_counts().get((-1,), 0) == 1
 
 
 def test_apply_add_accepts_empty_clause_on_conflicting_formula():
     state = CheckerState(Formula.from_clauses([[1], [-1]]))
-    assert state.apply_add(normalize_clause([]), 1) is None
+    assert state.apply_add([], 1) is None
 
 
 def test_apply_add_rejects_empty_clause_without_conflict():
     state = CheckerState(paper_f0())
-    rejection = state.apply_add(normalize_clause([]), 1)
+    rejection = state.apply_add([], 1)
     assert rejection is not None
     assert rejection.reason == "empty clause not AT"
     assert state.clause_counts().get((), 0) == 0
@@ -182,7 +182,7 @@ def test_apply_add_rejects_non_rat_clause():
     clauses = [[-1], [1, 2], [-2, 3]]
     assert check_rat_naive([tuple(c) for c in clauses], (1,)) is False
     state = CheckerState(Formula.from_clauses(clauses))
-    rejection = state.apply_add(normalize_clause([1]), 5)
+    rejection = state.apply_add([1], 5)
     assert rejection is not None
     assert rejection.step == 5
     assert rejection.reason == "RAT check failed"
@@ -193,16 +193,16 @@ def test_apply_add_rejects_non_rat_clause():
 
 def test_apply_delete_removes_one_copy():
     state = CheckerState(Formula.from_clauses([[1, 2], [1, 2], [3, 4]]))
-    assert state.apply_delete(normalize_clause([2, 1]), 1) is None
+    assert state.apply_delete([2, 1], 1) is None
     assert state.clause_counts().get((1, 2), 0) == 1
-    assert state.apply_delete(normalize_clause([1, 2]), 2) is None
+    assert state.apply_delete([1, 2], 2) is None
     assert state.clause_counts().get((1, 2), 0) == 0
 
 
 def test_apply_delete_missing_clause_warns_and_keeps_formula():
     state = CheckerState(paper_f0())
     before = state.clause_counts()
-    warning = state.apply_delete(normalize_clause([1, 4]), 3)
+    warning = state.apply_delete([1, 4], 3)
     assert warning is not None
     assert warning.kind == WARN_DELETED_MISSING
     assert warning.step == 3
@@ -212,7 +212,7 @@ def test_apply_delete_missing_clause_warns_and_keeps_formula():
 def test_apply_delete_unit_clause_is_ignored_with_warning():
     state = CheckerState(Formula.from_clauses([[5], [1, 2]]))
     before = state.clause_counts()
-    warning = state.apply_delete(normalize_clause([5]), 2)
+    warning = state.apply_delete([5], 2)
     assert warning is not None
     assert warning.kind == WARN_UNIT_DELETION
     assert state.clause_counts() == before
@@ -233,9 +233,9 @@ def test_delete_then_re_add_restores_the_multiset():
     # the re-added clause passes its RAT check vacuously: nothing contains -1
     state = CheckerState(Formula.from_clauses([[3, 4], [1, 2], [-3, 4]]))
     before = state.clause_counts()
-    assert state.apply_delete(normalize_clause([1, 2]), 1) is None
+    assert state.apply_delete([1, 2], 1) is None
     assert state.clause_counts() != before
-    assert state.apply_add(normalize_clause([1, 2]), 2) is None
+    assert state.apply_add([1, 2], 2) is None
     assert state.clause_counts() == before
 
 
@@ -269,7 +269,7 @@ def test_rejection_reports_the_failing_step(paper_formula):
     assert report.verdict == REJECTED
     assert report.step == 3
     assert report.reason == "RAT check failed"
-    assert report.clause.literals == (1,)
+    assert report.clause == (1,)
 
 
 def test_steps_after_accepted_empty_clause_are_ignored(paper_formula, paper_proof):
@@ -355,7 +355,7 @@ def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
     state = CheckerState(formula)
     for number, (delete, lits) in enumerate(records, start=1):
         apply = state.apply_delete if delete else state.apply_add
-        assert apply(normalize_clause(lits), number) is None
+        assert apply(lits, number) is None
     assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
     attributes = vars(state).values()
     assert not any(isinstance(value, Formula) for value in attributes)
@@ -422,13 +422,13 @@ def test_rat_stage_after_deletions_sees_no_deleted_clause(early_rat):
     formula = parse_dimacs("p cnf 7 3\n-1 2 0\n-1 3 0\n-1 -2 -3 0\n")
     state = CheckerState(formula)
     if early_rat:
-        assert state.apply_add(normalize_clause([6, 7]), 1) is None  # RAT, no candidates
+        assert state.apply_add([6, 7], 1) is None  # RAT, no candidates
     for number, lits in enumerate(([-1, 2], [-1, -2, -3], [-1, 3]), start=2):
-        assert state.apply_delete(normalize_clause(lits), number) is None
-    assert state.apply_add(normalize_clause([-1, 5]), 5) is None  # no clause holds 1
+        assert state.apply_delete(lits, number) is None
+    assert state.apply_add([-1, 5], 5) is None  # no clause holds 1
     trace = []
     state.trace = trace.append
-    lemma = normalize_clause([1, 4])
+    lemma = [1, 4]
     assert state.apply_add(lemma, 6).failed_resolvent == (1, 4, 5)
     assert trace == [
         "AT failed for (1 4); RAT check with pivot 1",
@@ -438,10 +438,10 @@ def test_rat_stage_after_deletions_sees_no_deleted_clause(early_rat):
 
 def test_occurrence_lists_are_built_by_the_first_rat_stage_only():
     state = CheckerState(paper_f0())
-    assert state.apply_add(normalize_clause([-1, 2, -3]), 1) is None  # passes AT
-    assert state.apply_delete(normalize_clause([1, 2, -3]), 2) is None
+    assert state.apply_add([-1, 2, -3], 1) is None  # passes AT
+    assert state.apply_delete([1, 2, -3], 2) is None
     assert state._occurs is None
-    assert state.apply_add(normalize_clause([-1]), 3) is None  # needs its RAT stage
+    assert state.apply_add([-1], 3) is None  # needs its RAT stage
     assert state._occurs is not None
 
 
@@ -490,16 +490,15 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
         state = CheckerState(Formula.from_clauses(clauses))
         naive = {}
         for clause in clauses:
-            key = normalize_clause(clause).canonical
+            key = normalize_clause(clause)
             naive[key] = naive.get(key, 0) + 1
         gone = set()
         assert state.clause_counts() == naive
         for number, (kind, lits) in enumerate(steps, start=1):
-            clause = normalize_clause(lits)
-            key = clause.canonical
+            key = normalize_clause(lits)
             present = naive.get(key, 0)
             if kind == "d":
-                removed = state.apply_delete(clause, number) is None
+                removed = state.apply_delete(lits, number) is None
                 assert removed == (len(key) != 1 and present > 0), (clauses, steps, number)
                 if removed:
                     seen["one of two deleted"] += present == 2
@@ -508,7 +507,7 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
                         gone.add(key)
                     else:
                         naive[key] = present - 1
-            elif state.apply_add(clause, number) is None:
+            elif state.apply_add(lits, number) is None:
                 seen["duplicate add"] += present > 0
                 seen["re-added"] += key in gone and not present
                 naive[key] = present + 1
@@ -525,10 +524,10 @@ def naive_store(clauses, steps):
     after the steps; a clause deleted to no copies and added again is new."""
     live = {}
     for clause in clauses:
-        key = normalize_clause(clause).canonical
+        key = normalize_clause(clause)
         live[key] = live.get(key, 0) + 1
     for kind, lits in steps:
-        key = normalize_clause(lits).canonical
+        key = normalize_clause(lits)
         if kind == "a":
             live[key] = live.get(key, 0) + 1
         elif len(key) != 1 and key in live:
@@ -591,11 +590,10 @@ def test_store_invariants_hold_after_every_step():
         assert_store_invariants(state)
         applied = []
         for number, (kind, lits) in enumerate(steps, start=1):
-            clause = normalize_clause(lits)
             if kind == "d":
-                state.apply_delete(clause, number)
+                state.apply_delete(lits, number)
                 applied.append((kind, lits))
-            elif state.apply_add(clause, number) is None:
+            elif state.apply_add(lits, number) is None:
                 applied.append((kind, lits))
             assert_store_invariants(state)
             live = naive_store(clauses, applied)
@@ -618,11 +616,11 @@ def test_a_trace_that_raises_at_the_first_resolvent_leaves_the_trail_empty():
 
     state.trace = trace
     with pytest.raises(RuntimeError, match=r"resolvent \(1 4 2\) \(with \(-1 2\)\): AT failed"):
-        state.apply_add(normalize_clause([1, 4]), 1)
+        state.apply_add([1, 4], 1)
     assert trails[0] > 0  # the lemma's fixpoint was on the trail
     assert_store_invariants(state)
     state.trace = None
-    assert state.apply_add(normalize_clause([1, 4]), 2).failed_resolvent == (1, 4, 2)
+    assert state.apply_add([1, 4], 2).failed_resolvent == (1, 4, 2)
 
 
 # -- the command line's store: DIMACS clauses loaded straight into the checker --
@@ -659,13 +657,54 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
         assert report == check_proof(parse_dimacs(text), records)
         seen[report.verdict] = seen.get(report.verdict, 0) + 1
         for number, (delete, lits) in enumerate(records, start=1):
-            clause = normalize_clause(lits)
-            outcomes = [(state.apply_delete if delete else state.apply_add)(clause, number)
+            outcomes = [(state.apply_delete if delete else state.apply_add)(lits, number)
                         for state in (from_formula, loaded)]
             assert outcomes[0] == outcomes[1], (clauses, steps, number)
             assert loaded.clause_counts() == from_formula.clause_counts(), (clauses, steps, number)
             seen["deleted copy"] += delete and outcomes[0] is None
     assert min(seen.values()) >= 20, seen
+
+
+def test_a_clause_is_stored_as_written_and_keyed_by_its_sorted_codes():
+    state = loaded_state("p cnf 3 2\n3 -1 2 0\n-1 2 0\n")
+    (key, codes), _ = state._ids.items()
+    assert state._literals(codes) == (3, -1, 2) and key == tuple(sorted(codes))
+    assert state.clause_counts() == {(-1, 2, 3): 1, (-1, 2): 1}
+    assert state.apply_delete([2, 3, -1], 1) is None
+    assert state.clause_counts() == {(-1, 2): 1}
+
+
+def test_a_rejected_clause_and_a_warning_hold_the_literals_as_written():
+    formula = Formula.from_clauses([[1], [-2]])
+    report = check_proof(formula, [(True, [3, -2, 1]), (False, [2, -1])])
+    assert report.verdict == REJECTED and report.clause == (2, -1)
+    assert report.pivot == 2 and report.failed_resolvent == (2, -1)
+    (warning,) = report.warnings
+    assert warning.clause == (3, -2, 1) and hash(warning) == hash(warning)
+
+
+def test_the_check_path_sorts_no_clause_canonically(monkeypatch, tmp_path, capsys):
+    # no variable repeats here, so no reader or checker step needs canonical_form
+    import importlib
+
+    import dratcheck
+
+    def refuse(literals):
+        raise AssertionError("canonical_form(%r)" % (literals,))
+
+    for name in ("model", "lexer", "dimacs", "proofio", "checker", "cli"):
+        module = importlib.import_module("dratcheck." + name)
+        monkeypatch.setattr(module, "canonical_form", refuse, raising=False)
+    formula_text = "p cnf 4 8\n2 1 -3 0\n-1 -2 3 0\n-4 3 2 0\n-2 -3 4 0\n-1 -3 -4 0\n1 3 4 0\n4 2 -1 0\n1 -2 -4 0\n"
+    proof_text = b"-1 0\nd 4 -1 2 0\nd 5 6 0\n2 0\n0\n"
+    report = checker_module.check_records(loaded_state(formula_text), dratcheck.proofio.plain_records(proof_text))
+    assert report.verified and [w.clause for w in report.warnings] == [(5, 6)]
+    formula, proof = tmp_path / "formula.cnf", tmp_path / "proof.drat"
+    formula.write_text(formula_text)
+    proof.write_bytes(proof_text)
+    for flags in ([], ["-v"], ["-q"]):
+        assert dratcheck.cli.main(["check", *flags, str(formula), str(proof)]) == 0
+    assert "matched stored clause (-1 2 4) up to literal order" in capsys.readouterr().out
 
 
 def test_deleting_a_clause_with_an_unseen_variable_creates_no_variable():
@@ -674,7 +713,7 @@ def test_deleting_a_clause_with_an_unseen_variable_creates_no_variable():
     trace = []
     state.trace = trace.append
     for number, lits in enumerate(([1, 4], [2**31 - 1, -2], [9, 10**7, 3]), start=1):
-        warning = state.apply_delete(normalize_clause(lits), number)
+        warning = state.apply_delete(lits, number)
         assert warning is not None and warning.kind == WARN_DELETED_MISSING
     assert len(state._values) == variables
     assert state.clause_counts() == {(1, 2): 1, (-2, 3): 1}

@@ -43,6 +43,22 @@ def test_check_verbose_traces_the_rat_resolvents(paper_files, capsys):
     assert all(line.startswith("c ") for line in out.splitlines()[:-1])
 
 
+def test_check_verbose_streams_the_records_to_the_checker(paper_files, monkeypatch, capsys):
+    # the step count comes from a first pass of the reader, so no list is held
+    streamed = []
+    check_records = checker.check_records
+
+    def capture(state, records, trace=None):
+        streamed.append(iter(records) is records)
+        return check_records(state, records, trace)
+
+    monkeypatch.setattr(checker, "check_records", capture)
+    formula, proof = paper_files
+    assert main(["check", "-v", str(formula), str(proof)]) == 0
+    assert streamed == [True]
+    assert capsys.readouterr().out.startswith("c parsed plain proof with 4 steps\n")
+
+
 def test_check_empty_proof_not_verified(paper_files, tmp_path, capsys):
     formula, _ = paper_files
     empty = tmp_path / "empty.drat"

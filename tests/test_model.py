@@ -13,7 +13,6 @@ from dratcheck import (
     CheckReport,
     DeletionWarning,
     Formula,
-    SourceClause,
     normalize_clause,
 )
 from dratcheck.model import DuplicateLiteralError, LiteralRangeError, TautologyError
@@ -21,22 +20,19 @@ from dratcheck.model import DuplicateLiteralError, LiteralRangeError, TautologyE
 from conftest import formula_value
 
 
-def test_normalize_keeps_original_order():
-    clause = normalize_clause([1, 2, -3])
-    assert clause.literals == (1, 2, -3)
-    assert clause.canonical == (1, 2, -3)
+def test_normalize_keeps_a_sorted_clause_as_it_is():
+    assert normalize_clause([1, 2, -3]) == (1, 2, -3)
 
 
 def test_normalize_empty_clause_is_legal():
-    clause = normalize_clause([])
-    assert clause.literals == ()
-    assert clause.canonical == ()
+    assert normalize_clause([]) == ()
 
 
 def test_normalize_sorts_by_variable_index():
-    assert normalize_clause([-3, 2, 1]).canonical == (1, 2, -3)
-    assert normalize_clause([4, -2, -1]).canonical == (-1, -2, 4)
-    assert normalize_clause([-3, 2, 1]).literals == (-3, 2, 1)
+    written = [-3, 2, 1]
+    assert normalize_clause(written) == (1, 2, -3)
+    assert normalize_clause([4, -2, -1]) == (-1, -2, 4)
+    assert written == [-3, 2, 1]
 
 
 def test_normalize_rejects_tautology():
@@ -58,7 +54,7 @@ def test_normalize_rejects_zero_and_overflow():
         normalize_clause([0])
     with pytest.raises(LiteralRangeError):
         normalize_clause([MAX_LITERAL + 1])
-    assert normalize_clause([MAX_LITERAL, -1]).canonical == (-1, MAX_LITERAL)
+    assert normalize_clause([MAX_LITERAL, -1]) == (-1, MAX_LITERAL)
 
 
 distinct_var_clauses = st.lists(
@@ -71,28 +67,25 @@ distinct_var_clauses = st.lists(
 @given(distinct_var_clauses)
 def test_normalize_is_idempotent(lits):
     once = normalize_clause(lits)
-    again = normalize_clause(once.canonical)
-    assert again.canonical == once.canonical
-    assert again.literals == once.canonical
+    assert normalize_clause(once) == once
 
 
 @given(distinct_var_clauses, st.randoms())
 def test_permutations_share_canonical_form(lits, rng):
     shuffled = list(lits)
     rng.shuffle(shuffled)
-    assert normalize_clause(shuffled).canonical == normalize_clause(lits).canonical
+    assert normalize_clause(shuffled) == normalize_clause(lits)
 
 
 @given(distinct_var_clauses)
 def test_canonical_and_original_hold_the_same_literals(lits):
-    clause = normalize_clause(lits)
-    assert sorted(clause.literals) == sorted(clause.canonical)
-    assert len(clause.literals) == len(lits)
+    assert sorted(normalize_clause(lits)) == sorted(lits)
+    assert len(normalize_clause(lits)) == len(lits)
 
 
 def test_formula_multiset_add_and_remove():
     formula = Formula()
-    clause = normalize_clause([1, -2]).canonical
+    clause = normalize_clause([1, -2])
     formula.add_clause(clause)
     formula.add_clause(clause)
     assert formula.count(clause) == 2
@@ -124,8 +117,8 @@ def test_max_variable_falls_when_its_last_clause_is_removed():
 def test_occurrence_index_tracks_every_mutation():
     rng = random.Random(7)
     formula = Formula()
-    pool = [normalize_clause([1, -2]).canonical, normalize_clause([2, 3]).canonical,
-            normalize_clause([-1, -3]).canonical, normalize_clause([1, 3]).canonical]
+    pool = [normalize_clause([1, -2]), normalize_clause([2, 3]),
+            normalize_clause([-1, -3]), normalize_clause([1, 3])]
     for _ in range(300):
         clause = rng.choice(pool)
         if rng.random() < 0.55:
@@ -139,17 +132,17 @@ def test_occurrence_index_tracks_every_mutation():
 
 
 def test_value_classes_compare_and_hash_by_field():
-    clause = normalize_clause([2, -1])
-    assert clause == SourceClause((2, -1), (-1, 2))
-    assert clause != SourceClause((-1, 2), (-1, 2))
-    assert hash(clause) == hash(SourceClause(literals=(2, -1), canonical=(-1, 2)))
-    assert repr(clause) == "SourceClause(literals=(2, -1), canonical=(-1, 2))"
+    # a warning holds its clause as written: the same literals in another order differ
+    clause = (2, -1)
     warning = DeletionWarning(3, WARN_UNIT_DELETION, clause)
     assert warning == DeletionWarning(step=3, kind=WARN_UNIT_DELETION, clause=clause)
-    assert hash(warning) == hash(DeletionWarning(3, WARN_UNIT_DELETION, clause))
+    assert warning != DeletionWarning(3, WARN_UNIT_DELETION, (-1, 2))
+    assert hash(warning) == hash(DeletionWarning(3, WARN_UNIT_DELETION, (2, -1)))
+    assert repr(warning) == "DeletionWarning(step=3, kind='unit-deletion-ignored', clause=(2, -1))"
+    assert {warning, DeletionWarning(3, WARN_UNIT_DELETION, (2, -1))} == {warning}
     assert CheckReport(VERIFIED, step=2) == CheckReport(VERIFIED, [], 2)
     assert CheckReport(VERIFIED) != CheckReport(REJECTED)
-    assert clause != (2, -1)
+    assert warning != (3, WARN_UNIT_DELETION, clause)
 
 
 def test_check_reports_and_proofs_get_their_own_lists():

@@ -18,7 +18,6 @@ ROOT_NAMES = [
     "NO_EMPTY_CLAUSE",
     "ProofError",
     "REJECTED",
-    "SourceClause",
     "VERIFIED",
     "WARN_DELETED_MISSING",
     "WARN_UNIT_DELETION",
