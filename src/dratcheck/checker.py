@@ -37,12 +37,15 @@ class CheckerState:
     them apart, and copies beyond the first are counted in a sparse dict
     keyed by the list's ``id``. ``_ids`` maps each clause's sorted codes,
     the ints held in ``_code``, to its code list, so any order of the same
-    literals finds it; the two watched literals sit in positions 0 and 1,
-    and watch and occurrence lists hold the code lists themselves. No
-    parsed literal is kept. Unit clauses are never watched,
-    as unit deletions are ignored: their codes are asserted whenever a
-    propagation starts from an empty trail. Copies of the empty clause turn
-    every propagation into a conflict.
+    literals finds it. ``_ids`` and the occurrence lists hold clauses of
+    every length alike, so RAT candidates, deletions and ``-v`` lines do not
+    depend on how a clause propagates. A clause of three or more literals is
+    watched at positions 0 and 1; a binary clause {a, b} is watched nowhere,
+    as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
+    reads before a falsified code's watches. No parsed literal is kept.
+    Unit clauses are never watched, as unit deletions are ignored: their
+    codes are asserted whenever a propagation starts from an empty trail.
+    Copies of the empty clause turn every propagation into a conflict.
     """
 
     def __init__(self, formula: Formula | None = None):
@@ -53,6 +56,8 @@ class CheckerState:
         self._literal: list[int] = []  # by code: signed literal
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[list[int]]] = []  # by code: code lists watching it
+        # by code: the other codes of its binary clauses; the shared () until the first
+        self._implied: list[list[int] | tuple[()]] = []
         # by code: code lists containing it, oldest first; built by the first RAT stage
         self._occurs: list[list[list[int]]] | None = None
         self._ids: dict[tuple[int, ...], list[int]] = {}  # key -> codes, watches first
@@ -73,6 +78,7 @@ class CheckerState:
         self._literal += (var, -var)
         self._values += (UNASSIGNED, UNASSIGNED)
         self._watches += ([], [])
+        self._implied += ((), ())
         if self._occurs is not None:
             self._occurs += ([], [])
         return self._code[lit]
@@ -87,7 +93,7 @@ class CheckerState:
         """Add one copy of each clause, a duplicate-free literal sequence; duplicate
         clauses and the empty clause included."""
         ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        surplus = self._surplus
+        implied, surplus = self._implied, self._surplus
         code_of = self._code.__getitem__
         for clause in clauses:
             if not clause:
@@ -105,6 +111,10 @@ class CheckerState:
                     occurs[code].append(codes)
             if len(codes) == 1:
                 units.append(codes[0])
+            elif len(codes) == 2:
+                for code, other in (codes, codes[::-1]):
+                    implied[code] = implied[code] or []
+                    implied[code].append(other)
             else:
                 watches[codes[0]].append(codes)
                 watches[codes[1]].append(codes)
@@ -140,8 +150,12 @@ class CheckerState:
             if self._occurs is not None:
                 for code in codes:
                     self._occurs[code].remove(codes)
-            self._watches[codes[0]].remove(codes)
-            self._watches[codes[1]].remove(codes)
+            if len(codes) == 2:
+                self._implied[codes[0]].remove(codes[1])
+                self._implied[codes[1]].remove(codes[0])
+            else:
+                self._watches[codes[0]].remove(codes)
+                self._watches[codes[1]].remove(codes)
         return True
 
     # -- unit propagation ----------------------------------------------------
@@ -175,9 +189,15 @@ class CheckerState:
         del trail[start:]
 
     def _propagate_watches(self, start: int) -> bool:
-        values, trail, watches = self._values, self._trail, self._watches
+        values, trail, watches, implied = self._values, self._trail, self._watches, self._implied
         for assigned in islice(trail, start, None) if start else trail:  # and codes appended
             falsified = assigned ^ 1
+            for other in implied[falsified]:
+                if values[other] == FALSE:
+                    return True
+                if values[other] == UNASSIGNED:
+                    values[other], values[other ^ 1] = TRUE, FALSE
+                    trail.append(other)
             watchers = watches[falsified]
             if not watchers:
                 continue

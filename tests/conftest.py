@@ -226,18 +226,60 @@ def rat_replay_case(rng, max_var=7):
     return clauses, steps
 
 
+def binary_replay_case(rng, max_var=6):
+    """A formula of mostly binary clauses, some in two or three copies, and
+    a proof that deletes copies one at a time, adds deleted clauses back,
+    and adds random binary lemmas among the lemmas of a refutation (when
+    the formula has one), which may then fail after the deletions."""
+
+    def binary():
+        return random_clause_lits(rng, max_var=max_var, min_len=2, max_len=2)
+
+    clauses = [binary() for _ in range(rng.randint(4, 14))]
+    clauses += random_clause_list(rng, rng.choice((0, 0, 1, 2)), max_var=max_var, min_len=1, max_len=3)
+    for clause in rng.sample(clauses, min(len(clauses), rng.randint(1, 4))):
+        clauses += [tuple(rng.sample(clause, len(clause))) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(clauses)
+    lemmas = refutation_steps(clauses, rng) or []
+    pool, deleted, steps = list(clauses), [], []
+    for _ in range(rng.randint(2, 16)):
+        roll = rng.random()
+        if roll < 0.35 and pool:
+            clause = pool.pop(rng.randrange(len(pool)))
+            steps.append(("d", tuple(rng.sample(clause, len(clause)))))
+            deleted.append(clause)
+            continue
+        if roll < 0.55 and deleted:
+            lits = deleted.pop(rng.randrange(len(deleted)))
+        elif roll < 0.7 and lemmas:
+            lits = lemmas.pop(0)
+        else:
+            lits = binary()
+        steps.append(("a", lits))
+        pool.append(lits)
+    return clauses, steps + [("a", lits) for lits in lemmas]
+
+
 # -- the checker's store between steps ----------------------------------------
 
 def assert_store_invariants(state):
-    """No assignment is left; each live clause's code list is watched at its
-    positions 0 and 1, once each, and nowhere else (units nowhere); built
+    """No assignment is left; each live clause of three or more literals is
+    watched at its positions 0 and 1, once each, and nowhere else; each live
+    binary clause is watched nowhere and puts its other code in each of its
+    codes' implication lists once, which hold nothing else (units are in
+    neither); an implication slot is a list or the shared (); built
     occurrence lists hold the live clauses in store order; surplus copies
     are counted for live clauses only."""
     assert state._trail == [] and not any(state._values)
     live = list(state._ids.values())
     watched = [(code, id(codes)) for code, watchers in enumerate(state._watches) for codes in watchers]
-    expected = [(codes[k], id(codes)) for codes in live if len(codes) > 1 for k in (0, 1)]
+    expected = [(codes[k], id(codes)) for codes in live if len(codes) > 2 for k in (0, 1)]
     assert sorted(watched) == sorted(expected)
+    implied = [(code, other) for code, others in enumerate(state._implied) for other in others]
+    binary = [(codes[0], codes[1]) for codes in live if len(codes) == 2]
+    assert sorted(implied) == sorted(binary + [(b, a) for a, b in binary])
+    assert len(state._implied) == len(state._values)
+    assert all(type(others) is list or others == () for others in state._implied)
     if state._occurs is not None:
         for code, occurrences in enumerate(state._occurs):
             assert [id(codes) for codes in occurrences] == [id(codes) for codes in live if code in codes]

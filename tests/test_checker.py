@@ -26,6 +26,7 @@ from dratcheck.oracle import brute_force_sat
 from conftest import (
     PAPER_CLAUSES,
     assert_store_invariants,
+    binary_replay_case,
     check_at,
     check_rat,
     propagate,
@@ -579,6 +580,86 @@ def test_rat_entries_with_several_resolvents_agree_with_the_slow_path_replay():
             assert report.failed_resolvent == naive_failed_resolvent(database, lemma), (clauses, steps)
             later_rejections += checks.get("step %d" % step, 0) >= 2
     assert several >= 200 and later_rejections >= 20, (several, later_rejections)
+
+
+def test_binary_heavy_proofs_agree_with_the_slow_path_replay():
+    rng = random.Random(97)
+    paths = ("one of several copies deleted", "last copy deleted and added again",
+             "binary lemma accepted by RAT", "conflict on a binary clause")
+    seen = dict.fromkeys(paths, 0)
+    for _ in range(600):
+        clauses, steps = binary_replay_case(rng)
+        proof = [(kind == "d", list(lits)) for kind, lits in steps]
+        trace = []
+        report = check_proof(Formula.from_clauses(clauses), proof, trace=trace.append)
+        verdict, step, warned = replay_naive(clauses, steps)
+        assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
+        assert [w.step for w in report.warnings] == warned
+        if verdict == REJECTED and steps[step - 1][1]:
+            database = list(naive_store(clauses, steps[: step - 1]))
+            assert report.failed_resolvent == naive_failed_resolvent(database, steps[step - 1][1]), (clauses, steps)
+        # and on the command line's store, loaded from the clauses as written
+        assert checker_module.check_records(loaded_state(dimacs_text(clauses)), proof) == report
+        notes = {}
+        for line in trace:
+            number, _, message = line.partition(": ")
+            notes.setdefault(int(number.split()[1]), []).append(message)
+        live, gone = naive_store(clauses, ()), set()
+        for number, (kind, lits) in enumerate(steps[:step], start=1):
+            key, messages = normalize_clause(lits), notes.get(number, [])
+            if kind == "d":
+                if len(key) != 1 and key in live:
+                    seen[paths[0]] += len(key) == 2 and live[key] > 1
+                    live[key] -= 1
+                    if not live[key]:
+                        del live[key]
+                        gone.add(key)
+                continue
+            if verdict == REJECTED and number == step:
+                break
+            if messages[0].startswith(("AT check passed", "empty clause has AT")):
+                # with no longer clause and no clash among the assumed and unit
+                # literals, only a binary clause can have been falsified
+                assumed = {-lit for lit in lits} | {clause[0] for clause in live if len(clause) == 1}
+                binary_only = max(map(len, live), default=0) <= 2 and () not in live
+                seen[paths[3]] += binary_only and not any(-lit in assumed for lit in assumed)
+            if len(key) == 2:
+                seen[paths[1]] += key in gone and key not in live
+                seen[paths[2]] += any(message.startswith("resolvent (") for message in messages)
+            live[key] = live.get(key, 0) + 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_clauses_of_three_or_more_literals_give_no_code_an_implication_list():
+    rng = random.Random(101)
+    clauses = random_clause_list(rng, 3000, max_var=2000, min_len=3, max_len=5)
+    state = CheckerState()
+    state.load(clauses)
+    state.check_rat([-lit for lit in clauses[1]])  # propagates, then builds the occurrence lists
+    assert state._occurs is not None
+    # one shared empty tuple, not a list per code
+    assert state._implied[0] == () and len(state._implied) == len(state._values) > 3000
+    assert all(others is state._implied[0] for others in state._implied)
+    state.load([(clauses[0][0], -clauses[0][1])])
+    assert sum(type(others) is list for others in state._implied) == 2
+
+
+def test_a_deleted_binary_clause_implies_nothing_afterwards():
+    state = loaded_state("p cnf 3 4\n-1 2 0\n2 -1 0\n-2 3 0\n1 2 3 0\n")
+    assert state.check_at([-1, 3])
+    assert state.apply_delete([2, -1], 1) is None
+    assert state.check_at([-1, 3])  # one copy is left
+    assert state.apply_delete([-1, 2], 2) is None
+    assert_store_invariants(state)
+    literal = state._literal
+    pairs = {(literal[code], literal[other]) for code, others in enumerate(state._implied) for other in others}
+    assert pairs == {(-2, 3), (3, -2)}
+    assert not state.check_at([-1, 3])
+    assert not state.check_at([-1], _keep=True)
+    assert state._values[state._code[1]] == checker_module.TRUE
+    assert state._values[state._code[2]] == checker_module.UNASSIGNED
+    state._undo(0)
+    assert state.apply_delete([-1, 2], 3).kind == WARN_DELETED_MISSING
 
 
 def test_store_invariants_hold_after_every_step():
