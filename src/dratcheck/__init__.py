@@ -9,8 +9,6 @@ from .model import (
     WARN_UNIT_DELETION,
     CheckReport,
     DeletionWarning,
-    Formula,
-    normalize_clause,
 )
 from .dimacs import DimacsError, parse_dimacs
 from .proofio import (
@@ -37,13 +35,11 @@ __all__ = [
     "CheckerState",
     "DeletionWarning",
     "DimacsError",
-    "Formula",
     "ProofError",
     "check_proof",
     "decode_varint",
     "encode_varint",
     "map_literal",
-    "normalize_clause",
     "parse_binary_proof",
     "parse_dimacs",
     "parse_plain_proof",

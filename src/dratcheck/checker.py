@@ -12,8 +12,8 @@ from .model import (
     WARN_UNIT_DELETION,
     CheckReport,
     DeletionWarning,
-    Formula,
     Memo,
+    checked_clause,
     checked_records,
     format_clause,
 )
@@ -31,7 +31,7 @@ class CheckerState:
     variables, not the largest literal value.
 
     Clauses come in through load as literal sequences in written order, and
-    a formula given is only read. A distinct non-empty clause is one code
+    are only read. A distinct non-empty clause is one code
     list, in the order its first copy was written, while at least one copy
     is present; duplicate copies share it, since propagation cannot tell
     them apart, and copies beyond the first are counted in a sparse dict
@@ -48,7 +48,7 @@ class CheckerState:
     Copies of the empty clause turn every propagation into a conflict.
     """
 
-    def __init__(self, formula: Formula | None = None):
+    def __init__(self):
         self.trace = None
         # signed literal -> code; the Memo holds a bound method of self, the
         # state's one reference cycle, which the command line leaves to the OS
@@ -65,8 +65,6 @@ class CheckerState:
         self._units: list[int] = []
         self._trail: list[int] = []
         self._empty_copies = 0
-        if formula is not None:
-            self.load(formula.clauses())
 
     # -- clause bookkeeping ------------------------------------------------
 
@@ -354,8 +352,12 @@ def check_records(state: CheckerState, records, trace=None) -> CheckReport:
     return report
 
 
-def check_proof(formula: Formula, records, trace=None) -> CheckReport:
-    """Replay (delete, literals) records against a formula with forward
-    checking (see check_records). Records may be built by hand, so each is
-    checked as normalize_clause checks a clause."""
-    return check_records(CheckerState(formula), checked_records(records), trace)
+def check_proof(clauses, records, trace=None) -> CheckReport:
+    """Replay (delete, literals) records against a formula's clauses, each a
+    literal sequence, with forward checking (see check_records). Either may
+    be built by hand, so each clause and record gets the readers' checks
+    (see checked_clause); the clauses are then loaded into a fresh
+    CheckerState, as the command line loads a formula's, and only read."""
+    state = CheckerState()
+    state.load(map(checked_clause, clauses))
+    return check_records(state, checked_records(records), trace)

@@ -29,7 +29,7 @@ def _open_proof(path: str, encoding: str | None):
 def run_check(args) -> int:
     quiet = args.verbosity < 0
     try:
-        # clauses go straight into the checker's store, so no Formula is built
+        # the clauses go into the checker's store as they are read: no list of them is built
         state = checker.CheckerState()
         state.load(dimacs.clause_records(_read(args.formula)))
     except (OSError, ValueError) as exc:

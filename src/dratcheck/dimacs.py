@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .lexer import Lines
-from .model import MAX_LITERAL, ClauseError, Formula, LocatedError, canonical_form
+from .model import MAX_LITERAL, ClauseError, LocatedError, raise_repeated_variable
 
 
 class DimacsError(LocatedError):
@@ -55,24 +55,21 @@ def _parse_header(reader: Lines):
     raise HeaderError("no 'p cnf' header found")
 
 
-def clause_records(data, header=None):
+def clause_records(data):
     """Yield each clause copy of a DIMACS CNF formula as its list of literals, in written order.
 
     Comment lines are skipped anywhere; blanks are space, tab, newline and a
     carriage return before a newline, so a clause may span lines and several
     clauses may share one line. Errors are raised in input order, and the
-    header's clause count is checked last. A header list, if given, receives
-    the declared variable and clause counts.
+    header's clause count is checked last.
     """
     reader = Lines(data, DimacsError, LiteralOverflowError, VarOutOfRangeError)
     var_max, num_cls, body = _parse_header(reader)
-    if header is not None:
-        header += var_max, num_cls
     found = 0
     for _, lits, where in reader.clauses(body, var_max):
         if len(set(map(abs, lits))) != len(lits):
             try:
-                canonical_form(lits)
+                raise_repeated_variable(lits)
             except ClauseError as exc:
                 raise reader.located(DimacsError, str(exc), where) from exc
         found += 1
@@ -84,13 +81,6 @@ def clause_records(data, header=None):
         raise ClauseCountError("header declares %d clauses but %d were found" % (num_cls, found))
 
 
-def parse_dimacs(data) -> Formula:
-    """Parse a DIMACS CNF formula (see clause_records); duplicate clauses are separate copies."""
-    header: list[int] = []
-    counts: dict[tuple[int, ...], int] = {}
-    get = counts.get
-    for lits in clause_records(data, header):
-        clause = tuple(sorted(lits, key=abs))  # the canonical form of a valid clause
-        counts[clause] = get(clause, 0) + 1
-    return Formula.from_counts(counts, *header)
-
+def parse_dimacs(data) -> list:
+    """Parse a DIMACS CNF formula into its clause_records: duplicate clauses are separate copies."""
+    return list(clause_records(data))

@@ -1,8 +1,6 @@
-"""Shared domain types: literals, clauses, formulas, check reports."""
+"""Shared domain types: literals, clause checks, check reports."""
 
 from __future__ import annotations
-
-from itertools import chain
 
 # DIMACS variable indices fit in a signed 32-bit int; 0 is the clause terminator.
 MAX_LITERAL = 2**31 - 1
@@ -88,50 +86,37 @@ class _Value:
         return "%s(%s)" % (type(self).__name__, fields)
 
 
-def canonical_form(literals) -> tuple[int, ...]:
-    """The literals sorted by variable.
+def raise_repeated_variable(literals) -> None:
+    """Raise TautologyError or DuplicateLiteralError for literals, in which a variable repeats.
 
-    Raises TautologyError or DuplicateLiteralError on the two clause syntax
-    violations; the first offending pair in canonical order (ascending
-    variable, positive literal first) is named.
+    The first offending pair in canonical order (ascending variable,
+    positive literal first) is named.
     """
-    if len(set(map(abs, literals))) != len(literals):
-        ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise DuplicateLiteralError("duplicate literal %d" % a)
-            if a == -b:
-                raise TautologyError("complementary literals %d and %d" % (a, b))
-    # with one literal per variable, sorting by variable is the canonical order
-    return tuple(sorted(literals, key=abs))
+    ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise DuplicateLiteralError("duplicate literal %d" % a)
+        if a == -b:
+            raise TautologyError("complementary literals %d and %d" % (a, b))
 
 
-def normalize_clause(literals) -> tuple[int, ...]:
-    """Validate a literal sequence and return its canonical form.
-
-    Raises the errors of canonical_form, and LiteralRangeError on
-    out-of-range literals.
-    """
-    original = tuple(literals)
-    for lit in original:
-        check_literal(lit)
-    return canonical_form(original)
+def checked_clause(lits):
+    """The literals, once they pass the readers' checks: LiteralRangeError for 0
+    or a literal outside the 31-bit range, or raise_repeated_variable's error.
+    A valid clause costs one set of its variables and no sort."""
+    variables = set(map(abs, lits))
+    if 0 in variables or max(variables, default=0) > MAX_LITERAL:
+        for lit in lits:
+            check_literal(lit)
+    if len(variables) != len(lits):
+        raise_repeated_variable(lits)
+    return lits
 
 
 def checked_records(records):
-    """Yield hand-built (delete, literals) records once they pass normalize_clause's checks.
-
-    The errors are normalize_clause's, but a valid record costs one set of
-    its variables and no sort, as in the readers.
-    """
+    """Yield hand-built (delete, literals) records once their literals pass checked_clause."""
     for delete, lits in records:
-        variables = set(map(abs, lits))
-        if 0 in variables or max(variables, default=0) > MAX_LITERAL:
-            for lit in lits:
-                check_literal(lit)
-        if len(variables) != len(lits):
-            canonical_form(lits)
-        yield delete, lits
+        yield delete, checked_clause(lits)
 
 
 def format_clause(literals) -> str:
@@ -142,39 +127,19 @@ def format_clause(literals) -> str:
 
 
 class Formula:
-    """A multiset of canonical clauses.
+    """A multiset of clause tuples; deletion removes one copy.
 
-    Duplicate clauses are distinct copies; deletion removes one copy.
+    Nothing in the package builds one: a formula is its clause list. It stays
+    because perfbench/traced.py wraps these three methods, which
+    tests/test_benchmark_contract.py pins, and the CI traced step fails if
+    the model.* metrics they feed go missing.
     """
 
-    def __init__(self, declared_vars: int = 0, declared_clauses: int = 0):
-        self.declared_vars = declared_vars
-        self.declared_clauses = declared_clauses
+    def __init__(self):
         self._counts: dict[tuple[int, ...], int] = {}
-        self._size = 0
-
-    @classmethod
-    def from_clauses(cls, clause_literals, declared_vars=None, declared_clauses=None) -> "Formula":
-        counts: dict[tuple[int, ...], int] = {}
-        for lits in clause_literals:
-            clause = normalize_clause(lits)
-            counts[clause] = counts.get(clause, 0) + 1
-        formula = cls.from_counts(counts)
-        formula.declared_vars = formula.max_variable() if declared_vars is None else declared_vars
-        formula.declared_clauses = len(formula) if declared_clauses is None else declared_clauses
-        return formula
-
-    @classmethod
-    def from_counts(cls, counts, declared_vars: int = 0, declared_clauses: int = 0) -> "Formula":
-        """A formula owning counts, a dict of canonical clause -> number of copies."""
-        formula = cls(declared_vars, declared_clauses)
-        formula._counts = counts
-        formula._size = sum(counts.values())
-        return formula
 
     def add_clause(self, clause: tuple[int, ...]) -> None:
         self._counts[clause] = self._counts.get(clause, 0) + 1
-        self._size += 1
 
     def remove_clause(self, clause: tuple[int, ...]) -> bool:
         """Remove one copy; False if the clause is not present."""
@@ -185,36 +150,11 @@ class Formula:
             del self._counts[clause]
         else:
             self._counts[clause] = count - 1
-        self._size -= 1
         return True
-
-    def count(self, clause: tuple[int, ...]) -> int:
-        return self._counts.get(clause, 0)
-
-    def __contains__(self, clause) -> bool:
-        return tuple(clause) in self._counts
-
-    def __len__(self) -> int:
-        return self._size
-
-    def clauses(self):
-        """All clause copies, duplicates included."""
-        for clause, count in self._counts.items():
-            for _ in range(count):
-                yield clause
-
-    def clause_counts(self) -> dict[tuple[int, ...], int]:
-        return dict(self._counts)
 
     def clauses_with(self, lit: int):
         """Distinct clauses containing lit, in insertion order."""
         return [clause for clause in self._counts if lit in clause]
-
-    def max_variable(self) -> int:
-        return max(map(abs, chain.from_iterable(self._counts)), default=0)
-
-    def __repr__(self) -> str:
-        return "Formula(%d vars, %d clauses)" % (self.declared_vars, self._size)
 
 
 class DeletionWarning(_Value):

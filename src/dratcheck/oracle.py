@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Formula
-
 MAX_ORACLE_VARS = 24
 
 
@@ -23,17 +21,14 @@ class OracleVerdict:
     model: dict[int, bool] | None = None
 
 
-def brute_force_sat(formula) -> OracleVerdict:
+def brute_force_sat(clauses) -> OracleVerdict:
     """Exhaustively decide satisfiability; limited to 24 distinct variables.
 
-    Accepts a Formula or any iterable of literal iterables. A satisfying
-    model is total over the distinct variables and re-checked against every
-    clause before it is returned.
+    Accepts any iterable of literal iterables. A satisfying model is total
+    over the distinct variables and re-checked against every clause before
+    it is returned.
     """
-    if isinstance(formula, Formula):
-        clauses = [tuple(c) for c in formula.clauses()]
-    else:
-        clauses = [tuple(c) for c in formula]
+    clauses = [tuple(c) for c in clauses]
     variables = sorted({abs(lit) for clause in clauses for lit in clause})
     if len(variables) > MAX_ORACLE_VARS:
         raise TooManyVariablesError(

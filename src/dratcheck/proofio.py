@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .model import MAX_LITERAL, ClauseError, LocatedError, Memo, canonical_form, check_literal, checked_records
+from .model import MAX_LITERAL, ClauseError, LocatedError, Memo, check_literal, checked_records, raise_repeated_variable
 from .lexer import Lines
 
 PLAIN = "plain"
@@ -91,7 +91,7 @@ def plain_records(data):
     for delete, lits, where in reader.clauses(0, deletes=True):
         if len(set(map(abs, lits))) != len(lits):
             try:
-                canonical_form(lits)
+                raise_repeated_variable(lits)
             except ClauseError as exc:
                 raise reader.located(ProofError, str(exc), where) from exc
         yield delete, lits
@@ -121,7 +121,7 @@ def binary_records(data: bytes):
             _raise_record_error(data, pos)
         if len(set(map(abs, lits))) != len(lits):
             try:
-                canonical_form(lits)
+                raise_repeated_variable(lits)
             except ClauseError as exc:
                 raise ProofError(str(exc), offset=pos) from exc
         yield record[1] == b"d", lits

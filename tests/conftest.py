@@ -47,34 +47,41 @@ def paper_proof():
     return parse_plain_proof(PAPER_PROOF)
 
 
-# -- one-call checks and a DIMACS writer over a Formula ----------------------
+# -- one-call checks and a DIMACS writer over a clause list -----------------
 
-def propagate(formula, assumptions=()):
-    """Unit propagation on a formula under assumptions; True means conflict."""
-    return CheckerState(formula).check_at([-lit for lit in assumptions])
+def loaded(clauses):
+    """A fresh checker state holding one copy of each clause, as check_proof loads them."""
+    state = CheckerState()
+    state.load(clauses)
+    return state
 
 
-def check_at(formula, literals):
+def canonical(literals):
+    """A clause as CheckerState.clause_counts keys it: its literals sorted by variable."""
+    return tuple(sorted(literals, key=abs))
+
+
+def propagate(clauses, assumptions=()):
+    """Unit propagation on clauses under assumptions; True means conflict."""
+    return loaded(clauses).check_at([-lit for lit in assumptions])
+
+
+def check_at(clauses, literals):
     """Asymmetric tautology test for a duplicate-free, non-tautological clause."""
-    return CheckerState(formula).check_at(tuple(literals))
+    return loaded(clauses).check_at(tuple(literals))
 
 
-def check_rat(formula, literals):
+def check_rat(clauses, literals):
     """Resolution asymmetric tautology test; the pivot is the first written literal."""
-    ok, _, _ = CheckerState(formula).check_rat(literals)
+    ok, _, _ = loaded(clauses).check_rat(literals)
     return ok
 
 
-def formula_value(formula):
-    """The clause multiset and declared counts, which define an equal formula."""
-    return formula.clause_counts(), formula.declared_vars, formula.declared_clauses
-
-
-def write_dimacs(formula):
-    """A formula as DIMACS text, literals in canonical order."""
-    var_max = max(formula.declared_vars, formula.max_variable())
-    lines = ["p cnf %d %d" % (var_max, len(formula))]
-    lines += [" ".join(map(str, clause + (0,))) for clause in formula.clauses()]
+def write_dimacs(clauses):
+    """Clauses as DIMACS text, literals as written, declaring the largest variable."""
+    var_max = max((abs(lit) for clause in clauses for lit in clause), default=0)
+    lines = ["p cnf %d %d" % (var_max, len(clauses))]
+    lines += [" ".join(map(str, (*clause, 0))) for clause in clauses]
     return "\n".join(lines) + "\n"
 
 

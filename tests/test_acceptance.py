@@ -15,8 +15,6 @@ from dratcheck import (
     VERIFIED,
     WARN_DELETED_MISSING,
     WARN_UNIT_DELETION,
-    CheckerState,
-    Formula,
     check_proof,
     decode_varint,
     encode_varint,
@@ -36,6 +34,7 @@ from conftest import (
     PAPER_CLAUSES,
     PAPER_FORMULA,
     PAPER_PROOF,
+    loaded,
     random_clause_list,
     random_clause_lits,
     random_proof,
@@ -173,7 +172,7 @@ def test_criterion_05_verified_proofs_imply_oracle_unsat():
         else:
             proof = random_proof(rng, max_steps=10, max_var=12, max_len=4)
 
-        report = check_proof(Formula.from_clauses(clauses), proof)
+        report = check_proof(clauses, proof)
         if report.verdict == VERIFIED:
             verified += 1
             assert not brute_force_sat(clauses).satisfiable
@@ -192,9 +191,7 @@ def test_criterion_06_rat_additions_preserve_satisfiability():
         assert attempts < 50_000
         clauses = random_clause_list(rng, rng.randint(1, 10), max_var=8, min_len=1, max_len=3)
         candidate = random_clause_lits(rng, max_var=8, min_len=1, max_len=3)
-        formula = Formula.from_clauses(clauses)
-        state = CheckerState(formula)
-        ok, _, _ = state.check_rat(candidate)
+        ok, _, _ = loaded(clauses).check_rat(candidate)
         if not ok:
             continue
         if not brute_force_sat(clauses).satisfiable:
@@ -208,7 +205,7 @@ def test_criterion_07_differential_propagation():
     instances = 0
     while instances < 10_000:
         clauses = random_clause_list(rng, rng.randint(0, 14), max_var=8, min_len=0, max_len=4)
-        state = CheckerState(Formula.from_clauses(clauses))
+        state = loaded(clauses)
         for _ in range(4):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
@@ -217,9 +214,9 @@ def test_criterion_07_differential_propagation():
 
 
 def test_criterion_08_deletion_warning_semantics():
-    formula = Formula.from_clauses(PAPER_CLAUSES + [(3,)])
+    formula = PAPER_CLAUSES + [(3,)]
 
-    state = CheckerState(formula)
+    state = loaded(formula)
     before = state.clause_counts()
     warning = state.apply_delete([1, 2, 4], 1)
     assert warning is not None and warning.kind == WARN_DELETED_MISSING
@@ -290,7 +287,7 @@ def test_criterion_10_mutated_steps_are_rejected_at_their_index():
     for candidate in non_rat:
         steps = list(golden)
         steps[2] = (False, list(candidate))
-        report = check_proof(Formula.from_clauses(PAPER_CLAUSES), steps)
+        report = check_proof(PAPER_CLAUSES, steps)
         assert report.verdict == REJECTED
         assert report.step == 3
         assert report.reason == "RAT check failed"

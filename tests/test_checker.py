@@ -12,10 +12,8 @@ from dratcheck import (
     WARN_DELETED_MISSING,
     WARN_UNIT_DELETION,
     CheckerState,
-    Formula,
     ProofError,
     check_proof,
-    normalize_clause,
     parse_dimacs,
     parse_plain_proof,
 )
@@ -27,19 +25,18 @@ from conftest import (
     PAPER_CLAUSES,
     assert_store_invariants,
     binary_replay_case,
+    canonical,
     check_at,
     check_rat,
+    loaded,
     propagate,
     random_clause_list,
     random_replay_case,
     rat_replay_case,
     refutation_steps,
+    write_dimacs,
 )
 from slowpath import check_at_naive, check_rat_naive, propagate_naive, replay_naive
-
-
-def paper_f0():
-    return Formula.from_clauses(PAPER_CLAUSES)
 
 
 # -- propagation ---------------------------------------------------------------
@@ -47,23 +44,23 @@ def paper_f0():
 
 def test_propagate_worked_example_conflict():
     # negation of the first resolvent: forces (-4), then empties (-1 2 4)
-    assert propagate(paper_f0(), [1, -2, 3]) is True
+    assert propagate(PAPER_CLAUSES, [1, -2, 3]) is True
 
 
 def test_propagate_empty_formula_reaches_fixpoint():
-    assert propagate(Formula(), [1]) is False
+    assert propagate([], [1]) is False
 
 
 def test_propagate_contradicting_units():
-    assert propagate(Formula.from_clauses([[1], [-1]]), []) is True
+    assert propagate([[1], [-1]], []) is True
 
 
 def test_propagate_contradictory_assumptions_count_as_conflict():
-    assert propagate(Formula.from_clauses([[1, 2]]), [3, -3]) is True
+    assert propagate([[1, 2]], [3, -3]) is True
 
 
 def test_propagate_restores_state():
-    state = CheckerState(paper_f0())
+    state = loaded(PAPER_CLAUSES)
     assert state.check_at([-1, 2, -3]) is True
     assert state._trail == []
     assert all(v == 0 for v in state._values)
@@ -73,7 +70,7 @@ def test_propagate_restores_state():
 
 
 def test_propagate_formula_with_empty_clause_always_conflicts():
-    formula = Formula.from_clauses([[], [1, 2]])
+    formula = [[], [1, 2]]
     assert propagate(formula, []) is True
 
 
@@ -83,21 +80,21 @@ def test_propagation_order_does_not_change_the_outcome():
         clauses = random_clause_list(rng, rng.randint(1, 12), max_var=6, min_len=1, max_len=3)
         assumptions = [v if rng.random() < 0.5 else -v
                        for v in rng.sample(range(1, 7), rng.randint(0, 3))]
-        reference = propagate(Formula.from_clauses(clauses), assumptions)
+        reference = propagate(clauses, assumptions)
         for _ in range(4):
             shuffled = clauses[:]
             rng.shuffle(shuffled)
             shuffled = [tuple(rng.sample(c, len(c))) for c in shuffled]
             mixed_assumptions = assumptions[:]
             rng.shuffle(mixed_assumptions)
-            assert propagate(Formula.from_clauses(shuffled), mixed_assumptions) == reference
+            assert propagate(shuffled, mixed_assumptions) == reference
 
 
 def test_watched_and_naive_propagation_agree_on_random_inputs():
     rng = random.Random(23)
     for _ in range(400):
         clauses = random_clause_list(rng, rng.randint(0, 14), max_var=8, min_len=0, max_len=4)
-        state = CheckerState(Formula.from_clauses(clauses))
+        state = loaded(clauses)
         for _ in range(3):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
@@ -108,36 +105,36 @@ def test_watched_and_naive_propagation_agree_on_random_inputs():
 
 
 def test_check_at_first_resolvent_of_worked_example():
-    assert check_at(paper_f0(), (-1, 2, -3)) is True
+    assert check_at(PAPER_CLAUSES, (-1, 2, -3)) is True
 
 
 def test_check_at_with_empty_clause_present():
-    formula = Formula.from_clauses([[], [2]])
+    formula = [[], [2]]
     assert check_at(formula, (5,)) is True
 
 
 def test_check_at_without_unit_consequences_fails():
-    assert check_at(Formula.from_clauses([[1, 2]]), (3,)) is False
+    assert check_at([[1, 2]], (3,)) is False
 
 
 def test_check_rat_worked_example_pivot_minus_one():
-    assert check_rat(paper_f0(), [-1]) is True
+    assert check_rat(PAPER_CLAUSES, [-1]) is True
 
 
 def test_check_rat_vacuous_when_negated_pivot_never_occurs():
-    formula = Formula.from_clauses([[1, 2], [2, 3]])
+    formula = [[1, 2], [2, 3]]
     assert check_rat(formula, [-9, -8]) is True
 
 
 def test_check_rat_fails_against_resolvent_with_unit():
     # pivot 1 resolves with the unit (-1) into the clause itself, which is not AT
-    formula = Formula.from_clauses([[-1], [2, 3]])
+    formula = [[-1], [2, 3]]
     assert check_rat(formula, [1, 2]) is False
     assert check_rat_naive([(-1,), (2, 3)], (1, 2)) is False
 
 
 def test_check_rat_respects_the_written_pivot_order():
-    formula = Formula.from_clauses([[-1, 3]])
+    formula = [[-1, 3]]
     # pivot 1 fails on the resolvent (1 2 3); pivot 2 would pass vacuously
     assert check_rat(formula, [1, 2]) is False
     assert check_rat(formula, [2, 1]) is True
@@ -149,7 +146,7 @@ def test_check_rat_agrees_with_slow_path_on_random_inputs():
     for _ in range(500):
         clauses = random_clause_list(rng, rng.randint(1, 10), max_var=6, min_len=1, max_len=3)
         candidate = random_clause_list(rng, 1, max_var=6, min_len=1, max_len=3)[0]
-        fast = check_rat(Formula.from_clauses(clauses), list(candidate))
+        fast = check_rat(clauses, list(candidate))
         slow = check_rat_naive(clauses, candidate)
         assert fast == slow
         agree += 1
@@ -160,18 +157,18 @@ def test_check_rat_agrees_with_slow_path_on_random_inputs():
 
 
 def test_apply_add_extends_the_formula():
-    state = CheckerState(paper_f0())
+    state = loaded(PAPER_CLAUSES)
     assert state.apply_add([-1], 1) is None
     assert state.clause_counts().get((-1,), 0) == 1
 
 
 def test_apply_add_accepts_empty_clause_on_conflicting_formula():
-    state = CheckerState(Formula.from_clauses([[1], [-1]]))
+    state = loaded([[1], [-1]])
     assert state.apply_add([], 1) is None
 
 
 def test_apply_add_rejects_empty_clause_without_conflict():
-    state = CheckerState(paper_f0())
+    state = loaded(PAPER_CLAUSES)
     rejection = state.apply_add([], 1)
     assert rejection is not None
     assert rejection.reason == "empty clause not AT"
@@ -182,7 +179,7 @@ def test_apply_add_rejects_non_rat_clause():
     # slow-path verified: (1) is not RAT with respect to this formula
     clauses = [[-1], [1, 2], [-2, 3]]
     assert check_rat_naive([tuple(c) for c in clauses], (1,)) is False
-    state = CheckerState(Formula.from_clauses(clauses))
+    state = loaded(clauses)
     rejection = state.apply_add([1], 5)
     assert rejection is not None
     assert rejection.step == 5
@@ -193,7 +190,7 @@ def test_apply_add_rejects_non_rat_clause():
 
 
 def test_apply_delete_removes_one_copy():
-    state = CheckerState(Formula.from_clauses([[1, 2], [1, 2], [3, 4]]))
+    state = loaded([[1, 2], [1, 2], [3, 4]])
     assert state.apply_delete([2, 1], 1) is None
     assert state.clause_counts().get((1, 2), 0) == 1
     assert state.apply_delete([1, 2], 2) is None
@@ -201,7 +198,7 @@ def test_apply_delete_removes_one_copy():
 
 
 def test_apply_delete_missing_clause_warns_and_keeps_formula():
-    state = CheckerState(paper_f0())
+    state = loaded(PAPER_CLAUSES)
     before = state.clause_counts()
     warning = state.apply_delete([1, 4], 3)
     assert warning is not None
@@ -211,7 +208,7 @@ def test_apply_delete_missing_clause_warns_and_keeps_formula():
 
 
 def test_apply_delete_unit_clause_is_ignored_with_warning():
-    state = CheckerState(Formula.from_clauses([[5], [1, 2]]))
+    state = loaded([[5], [1, 2]])
     before = state.clause_counts()
     warning = state.apply_delete([5], 2)
     assert warning is not None
@@ -232,7 +229,7 @@ def test_deletion_by_canonical_form_is_flagged_in_the_trace(paper_formula):
 
 def test_delete_then_re_add_restores_the_multiset():
     # the re-added clause passes its RAT check vacuously: nothing contains -1
-    state = CheckerState(Formula.from_clauses([[3, 4], [1, 2], [-3, 4]]))
+    state = loaded([[3, 4], [1, 2], [-3, 4]])
     before = state.clause_counts()
     assert state.apply_delete([1, 2], 1) is None
     assert state.clause_counts() != before
@@ -292,7 +289,7 @@ def test_deleting_the_reason_of_a_root_unit_is_not_ignored():
     # (-1 2) is the reason for 2 under the unit (1), but only clauses of
     # length 1 as written are protected from deletion: once it is gone,
     # (2) is neither AT nor RAT, where drat-trim would ignore the deletion
-    formula = Formula.from_clauses([[1], [-1, 2], [-2, 3], [-3, -1]])
+    formula = [[1], [-1, 2], [-2, 3], [-3, -1]]
     report = check_proof(formula, [(True, [-1, 2]), (False, [2])])
     assert report.verdict == REJECTED
     assert report.step == 2
@@ -308,17 +305,17 @@ def test_check_records_reads_the_records_after_the_verdict(clauses, verdict):
 
     checked = []
     with pytest.raises(ProofError, match="bad step"):
-        state = CheckerState(Formula.from_clauses(clauses))
+        state = loaded(clauses)
         checker_module.check_records(state, records(), trace=checked.append)
     assert all(line.startswith("step 1: ") for line in checked)
-    state = CheckerState(Formula.from_clauses(clauses))
+    state = loaded(clauses)
     report = checker_module.check_records(state, [(False, []), (True, [1, 2])])
     assert (report.verdict, report.step, report.warnings) == (verdict, 1, [])
 
 
 def test_check_records_takes_its_trace_off_the_state_on_exit():
     first = []
-    state = CheckerState(Formula.from_clauses([[1, 2], [-1, 2], [1, -2]]))
+    state = loaded([[1, 2], [-1, 2], [1, -2]])
     checker_module.check_records(state, [(False, [2])], trace=first.append)
     assert first == ["step 1: AT check passed for (2)"] and state.trace is None
     # a later untraced call on the same state writes nothing to the old trace
@@ -335,9 +332,9 @@ def test_check_records_takes_its_trace_off_the_state_on_exit():
 
 
 def test_check_proof_does_not_mutate_the_input_formula(paper_formula, paper_proof):
-    before = paper_formula.clause_counts()
+    before = [list(clause) for clause in paper_formula]
     check_proof(paper_formula, paper_proof)
-    assert paper_formula.clause_counts() == before
+    assert paper_formula == before
     # deterministic: a second run reproduces the report
     first = check_proof(paper_formula, paper_proof)
     second = check_proof(paper_formula, paper_proof)
@@ -346,20 +343,22 @@ def test_check_proof_does_not_mutate_the_input_formula(paper_formula, paper_proo
 
 def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
     # (5 6) is RAT vacuously and names variables the formula lacks
-    formula = Formula.from_clauses([[1, 2], [1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]])
-    before = (formula.clause_counts(), len(formula), formula.max_variable())
+    clauses = [[1, 2], [1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4]]
+    before = [list(clause) for clause in clauses]
     records = [(False, [5, 6]), (False, [6, 5]), (True, [2, 1]), (True, [3, 4]),
                (False, [2]), (False, [2]), (False, [])]
-    assert check_proof(formula, records).verdict == VERIFIED
-    assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
+    assert check_proof(clauses, records).verdict == VERIFIED
+    assert clauses == before
 
-    state = CheckerState(formula)
+    state = loaded(clauses)
     for number, (delete, lits) in enumerate(records, start=1):
         apply = state.apply_delete if delete else state.apply_add
         assert apply(lits, number) is None
-    assert (formula.clause_counts(), len(formula), formula.max_variable()) == before
+    assert clauses == before
     attributes = vars(state).values()
-    assert not any(isinstance(value, Formula) for value in attributes)
+    given = {id(clauses), *map(id, clauses)}
+    assert not given & {id(value) for value in attributes}
+    assert not given & {id(codes) for codes in state._ids.values()}
     keyed_by_clauses = [value for value in attributes
                         if isinstance(value, dict) and any(isinstance(key, tuple) for key in value)]
     assert len(keyed_by_clauses) == 1
@@ -381,7 +380,7 @@ def test_tree_proofs_of_random_unsat_formulas_verify():
             assert brute_force_sat(clauses).satisfiable
             continue
         proof = [(False, list(lits)) for lits in steps]
-        report = check_proof(Formula.from_clauses(clauses), proof)
+        report = check_proof(clauses, proof)
         assert report.verdict == VERIFIED
         assert not brute_force_sat(clauses).satisfiable
         verified += 1
@@ -391,7 +390,7 @@ def test_tree_proofs_of_random_unsat_formulas_verify():
 def test_deleting_each_empty_clause_copy_restores_propagation():
     # each deletion removes one of the two empty-clause copies; once both
     # are gone, (-2) is neither AT nor RAT
-    formula = Formula.from_clauses([[], [], [1, 2], [-1, 2]])
+    formula = [[], [], [1, 2], [-1, 2]]
     proof = [(True, []), (True, []), (False, [-2])]
     report = check_proof(formula, proof)
     assert report.verdict == REJECTED
@@ -420,8 +419,7 @@ def test_rat_candidates_stay_oldest_first_across_delete_and_re_add(early_rat):
 
 @pytest.mark.parametrize("early_rat", [False, True])
 def test_rat_stage_after_deletions_sees_no_deleted_clause(early_rat):
-    formula = parse_dimacs("p cnf 7 3\n-1 2 0\n-1 3 0\n-1 -2 -3 0\n")
-    state = CheckerState(formula)
+    state = loaded(parse_dimacs("p cnf 7 3\n-1 2 0\n-1 3 0\n-1 -2 -3 0\n"))
     if early_rat:
         assert state.apply_add([6, 7], 1) is None  # RAT, no candidates
     for number, lits in enumerate(([-1, 2], [-1, -2, -3], [-1, 3]), start=2):
@@ -438,7 +436,7 @@ def test_rat_stage_after_deletions_sees_no_deleted_clause(early_rat):
 
 
 def test_occurrence_lists_are_built_by_the_first_rat_stage_only():
-    state = CheckerState(paper_f0())
+    state = loaded(PAPER_CLAUSES)
     assert state.apply_add([-1, 2, -3], 1) is None  # passes AT
     assert state.apply_delete([1, 2, -3], 2) is None
     assert state._occurs is None
@@ -475,7 +473,7 @@ def test_whole_proofs_agree_with_the_slow_path_replay():
     for _ in range(400):
         clauses, steps = random_replay_case(rng)
         proof = [(kind == "d", list(lits)) for kind, lits in steps]
-        report = check_proof(Formula.from_clauses(clauses), proof)
+        report = check_proof(clauses, proof)
         verdict, step, warned = replay_naive(clauses, steps)
         assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
         assert [w.step for w in report.warnings] == warned
@@ -488,15 +486,15 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
     seen = dict.fromkeys(("duplicate add", "one of two deleted", "re-added", "empty copies"), 0)
     for _ in range(400):
         clauses, steps = random_replay_case(rng)
-        state = CheckerState(Formula.from_clauses(clauses))
+        state = loaded(clauses)
         naive = {}
         for clause in clauses:
-            key = normalize_clause(clause)
+            key = canonical(clause)
             naive[key] = naive.get(key, 0) + 1
         gone = set()
         assert state.clause_counts() == naive
         for number, (kind, lits) in enumerate(steps, start=1):
-            key = normalize_clause(lits)
+            key = canonical(lits)
             present = naive.get(key, 0)
             if kind == "d":
                 removed = state.apply_delete(lits, number) is None
@@ -525,10 +523,10 @@ def naive_store(clauses, steps):
     after the steps; a clause deleted to no copies and added again is new."""
     live = {}
     for clause in clauses:
-        key = normalize_clause(clause)
+        key = canonical(clause)
         live[key] = live.get(key, 0) + 1
     for kind, lits in steps:
-        key = normalize_clause(lits)
+        key = canonical(lits)
         if kind == "a":
             live[key] = live.get(key, 0) + 1
         elif len(key) != 1 and key in live:
@@ -568,7 +566,7 @@ def test_rat_entries_with_several_resolvents_agree_with_the_slow_path_replay():
         clauses, steps = rat_replay_case(rng)
         proof = [(kind == "d", list(lits)) for kind, lits in steps]
         trace = []
-        report = check_proof(Formula.from_clauses(clauses), proof, trace=trace.append)
+        report = check_proof(clauses, proof, trace=trace.append)
         verdict, step, warned = replay_naive(clauses, steps)
         assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
         assert [w.step for w in report.warnings] == warned
@@ -591,7 +589,7 @@ def test_binary_heavy_proofs_agree_with_the_slow_path_replay():
         clauses, steps = binary_replay_case(rng)
         proof = [(kind == "d", list(lits)) for kind, lits in steps]
         trace = []
-        report = check_proof(Formula.from_clauses(clauses), proof, trace=trace.append)
+        report = check_proof(clauses, proof, trace=trace.append)
         verdict, step, warned = replay_naive(clauses, steps)
         assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
         assert [w.step for w in report.warnings] == warned
@@ -599,14 +597,14 @@ def test_binary_heavy_proofs_agree_with_the_slow_path_replay():
             database = list(naive_store(clauses, steps[: step - 1]))
             assert report.failed_resolvent == naive_failed_resolvent(database, steps[step - 1][1]), (clauses, steps)
         # and on the command line's store, loaded from the clauses as written
-        assert checker_module.check_records(loaded_state(dimacs_text(clauses)), proof) == report
+        assert checker_module.check_records(loaded_state(write_dimacs(clauses)), proof) == report
         notes = {}
         for line in trace:
             number, _, message = line.partition(": ")
             notes.setdefault(int(number.split()[1]), []).append(message)
         live, gone = naive_store(clauses, ()), set()
         for number, (kind, lits) in enumerate(steps[:step], start=1):
-            key, messages = normalize_clause(lits), notes.get(number, [])
+            key, messages = canonical(lits), notes.get(number, [])
             if kind == "d":
                 if len(key) != 1 and key in live:
                     seen[paths[0]] += len(key) == 2 and live[key] > 1
@@ -667,7 +665,7 @@ def test_store_invariants_hold_after_every_step():
     rat_stages = 0
     for case in range(600):
         clauses, steps = (random_replay_case if case % 2 else rat_replay_case)(rng)
-        state = CheckerState(Formula.from_clauses(clauses))
+        state = loaded(clauses)
         assert_store_invariants(state)
         applied = []
         for number, (kind, lits) in enumerate(steps, start=1):
@@ -687,7 +685,7 @@ def test_store_invariants_hold_after_every_step():
 
 
 def test_a_trace_that_raises_at_the_first_resolvent_leaves_the_trail_empty():
-    state = CheckerState(parse_dimacs("p cnf 5 3\n-1 2 0\n-1 3 0\n2 -3 0\n"))
+    state = loaded(parse_dimacs("p cnf 5 3\n-1 2 0\n-1 3 0\n2 -3 0\n"))
     trails = []
 
     def trace(message):
@@ -708,19 +706,15 @@ def test_a_trace_that_raises_at_the_first_resolvent_leaves_the_trail_empty():
 
 
 def loaded_state(text):
-    """The state the command line checks against: no Formula in between."""
+    """The state the command line checks against."""
     state = CheckerState()
     state.load(clause_records(text))
     return state
 
 
-def dimacs_text(clauses):
-    variables = max((abs(lit) for clause in clauses for lit in clause), default=0)
-    lines = ["p cnf %d %d" % (variables, len(clauses))]
-    return "\n".join(lines + [" ".join(map(str, (*clause, 0))) for clause in clauses]) + "\n"
-
-
 def test_loaded_store_equals_the_formula_store_step_by_step():
+    # a store loaded with each clause as written and one loaded with each
+    # sorted by variable agree on every step
     rng = random.Random(73)
     seen = dict.fromkeys(("permuted duplicate", "unit", "empty", "deleted copy", REJECTED, VERIFIED), 0)
     for _ in range(300):
@@ -730,18 +724,19 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
             seen["permuted duplicate"] += len(clause) > 1
         seen["unit"] += any(len(clause) == 1 for clause in clauses)
         seen["empty"] += () in clauses
-        text = dimacs_text(clauses)
-        from_formula, loaded = CheckerState(parse_dimacs(text)), loaded_state(text)
-        assert loaded.clause_counts() == from_formula.clause_counts() == parse_dimacs(text).clause_counts()
+        text = write_dimacs(clauses)
+        assert parse_dimacs(text) == [list(clause) for clause in clauses]
+        by_variable, written = loaded(map(canonical, clauses)), loaded_state(text)
+        assert written.clause_counts() == by_variable.clause_counts() == naive_store(clauses, ())
         records = [(kind == "d", lits) for kind, lits in steps]
         report = checker_module.check_records(loaded_state(text), records)
         assert report == check_proof(parse_dimacs(text), records)
         seen[report.verdict] = seen.get(report.verdict, 0) + 1
         for number, (delete, lits) in enumerate(records, start=1):
             outcomes = [(state.apply_delete if delete else state.apply_add)(lits, number)
-                        for state in (from_formula, loaded)]
+                        for state in (by_variable, written)]
             assert outcomes[0] == outcomes[1], (clauses, steps, number)
-            assert loaded.clause_counts() == from_formula.clause_counts(), (clauses, steps, number)
+            assert written.clause_counts() == by_variable.clause_counts(), (clauses, steps, number)
             seen["deleted copy"] += delete and outcomes[0] is None
     assert min(seen.values()) >= 20, seen
 
@@ -756,7 +751,7 @@ def test_a_clause_is_stored_as_written_and_keyed_by_its_sorted_codes():
 
 
 def test_a_rejected_clause_and_a_warning_hold_the_literals_as_written():
-    formula = Formula.from_clauses([[1], [-2]])
+    formula = [[1], [-2]]
     report = check_proof(formula, [(True, [3, -2, 1]), (False, [2, -1])])
     assert report.verdict == REJECTED and report.clause == (2, -1)
     assert report.pivot == 2 and report.failed_resolvent == (2, -1)
@@ -765,17 +760,17 @@ def test_a_rejected_clause_and_a_warning_hold_the_literals_as_written():
 
 
 def test_the_check_path_sorts_no_clause_canonically(monkeypatch, tmp_path, capsys):
-    # no variable repeats here, so no reader or checker step needs canonical_form
+    # no variable repeats here, so no reader or checker step needs raise_repeated_variable
     import importlib
 
     import dratcheck
 
     def refuse(literals):
-        raise AssertionError("canonical_form(%r)" % (literals,))
+        raise AssertionError("raise_repeated_variable(%r)" % (literals,))
 
     for name in ("model", "lexer", "dimacs", "proofio", "checker", "cli"):
         module = importlib.import_module("dratcheck." + name)
-        monkeypatch.setattr(module, "canonical_form", refuse, raising=False)
+        monkeypatch.setattr(module, "raise_repeated_variable", refuse, raising=False)
     formula_text = "p cnf 4 8\n2 1 -3 0\n-1 -2 3 0\n-4 3 2 0\n-2 -3 4 0\n-1 -3 -4 0\n1 3 4 0\n4 2 -1 0\n1 -2 -4 0\n"
     proof_text = b"-1 0\nd 4 -1 2 0\nd 5 6 0\n2 0\n0\n"
     report = checker_module.check_records(loaded_state(formula_text), dratcheck.proofio.plain_records(proof_text))
@@ -815,7 +810,6 @@ small_formula = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_at_soundness_against_the_oracle(clauses, assumption_vars, rng):
     candidate = tuple(v if rng.random() < 0.5 else -v for v in assumption_vars)
-    formula = Formula.from_clauses(clauses)
-    if check_at(formula, candidate):
+    if check_at(clauses, candidate):
         negated = [(-l,) for l in candidate]
         assert not brute_force_sat(list(clauses) + negated).satisfiable

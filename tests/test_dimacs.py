@@ -11,21 +11,16 @@ from dratcheck.dimacs import (
     VarOutOfRangeError,
 )
 
-from conftest import PAPER_CLAUSES, PAPER_FORMULA, formula_value, write_dimacs
+from conftest import PAPER_CLAUSES, PAPER_FORMULA, write_dimacs
 
 
 def test_parses_the_worked_example():
-    formula = parse_dimacs(PAPER_FORMULA)
-    assert len(formula) == 8
-    assert formula.declared_vars == 4
-    assert formula.declared_clauses == 8
-    assert sorted(formula.clauses()) == sorted(PAPER_CLAUSES)
+    # each clause is its list of literals as written, in written order
+    assert parse_dimacs(PAPER_FORMULA) == [list(clause) for clause in PAPER_CLAUSES]
 
 
 def test_empty_formula():
-    formula = parse_dimacs("p cnf 0 0\n")
-    assert len(formula) == 0
-    assert formula.declared_vars == 0
+    assert parse_dimacs("p cnf 0 0\n") == []
 
 
 def test_accepts_bytes_input():
@@ -40,8 +35,7 @@ def test_literal_above_declared_maximum_is_invalid():
 
 
 def test_declared_maximum_may_exceed_largest_literal():
-    formula = parse_dimacs("p cnf 9 1\n1 -2 0\n")
-    assert formula.declared_vars == 9
+    assert parse_dimacs("p cnf 9 1\n1 -2 0\n") == [[1, -2]]
 
 
 def test_clause_count_must_match_header():
@@ -93,26 +87,22 @@ def test_malformed_literal_tokens():
 
 
 def test_duplicate_clauses_are_kept_as_copies():
-    formula = parse_dimacs("p cnf 2 3\n1 2 0\n1 2 0\n-1 0\n")
-    assert formula.count((1, 2)) == 2
+    assert parse_dimacs("p cnf 2 3\n1 2 0\n1 2 0\n-1 0\n") == [[1, 2], [1, 2], [-1]]
 
 
 def test_comments_and_blank_runs_are_ignored():
     text = "c leading\np cnf 3 2\nc inside\n1   2\t3 0\nc more\n-1\n-2 0\nc trailing\n"
-    formula = parse_dimacs(text)
-    assert sorted(formula.clauses()) == [(-1, -2), (1, 2, 3)]
+    assert parse_dimacs(text) == [[1, 2, 3], [-1, -2]]
     bare = parse_dimacs("c\np cnf 1 1\n1 0\n")  # bare "c" comment line tolerated
-    assert len(bare) == 1
+    assert bare == [[1]]
 
 
 def test_multiple_clauses_per_line_and_final_clause_without_newline():
-    formula = parse_dimacs("p cnf 3 3\n1 0 2 0\n-3 0")
-    assert sorted(formula.clauses()) == [(-3,), (1,), (2,)]
+    assert parse_dimacs("p cnf 3 3\n1 0 2 0\n-3 0") == [[1], [2], [-3]]
 
 
 def test_empty_clause_inside_formula_is_allowed():
-    formula = parse_dimacs("p cnf 1 2\n0\n1 0\n")
-    assert formula.count(()) == 1
+    assert parse_dimacs("p cnf 1 2\n0\n1 0\n") == [[], [1]]
 
 
 clause_strategy = st.lists(
@@ -129,7 +119,7 @@ def test_clause_line_permutation_preserves_the_multiset(clauses, rng):
     header = "p cnf 9 %d\n" % len(clauses)
     first = parse_dimacs(header + "\n".join(lines) + "\n")
     second = parse_dimacs(header + "\n".join(shuffled) + "\n")
-    assert formula_value(first) == formula_value(second)
+    assert sorted(first) == sorted(second)
 
 
 @given(st.lists(clause_strategy, max_size=10))
@@ -138,8 +128,7 @@ def test_write_then_reparse_round_trips(clauses):
     header = "p cnf 9 %d\n" % len(clauses)
     body = "".join(" ".join(str(l) for l in c) + " 0\n" for c in clauses)
     formula = parse_dimacs(header + body)
-    again = parse_dimacs(write_dimacs(formula))
-    assert again.clause_counts() == formula.clause_counts()
+    assert parse_dimacs(write_dimacs(formula)) == formula == [list(clause) for clause in clauses]
 
 
 def test_no_break_space_does_not_separate_literals():
@@ -161,8 +150,7 @@ def test_comment_lines_end_only_at_newline():
 
 
 def test_crlf_line_ends_are_blanks_and_a_lone_cr_is_not():
-    formula = parse_dimacs(b"c crlf\r\np cnf 2 2\r\n1 2 0\r\n-1\t0 \r\n")
-    assert sorted(formula.clauses()) == [(-1,), (1, 2)]
+    assert parse_dimacs(b"c crlf\r\np cnf 2 2\r\n1 2 0\r\n-1\t0 \r\n") == [[1, 2], [-1]]
     with pytest.raises(DimacsError, match="malformed literal"):
         parse_dimacs(b"p cnf 2 1\n1\r2 0\n")
     with pytest.raises(DimacsError, match="malformed literal"):

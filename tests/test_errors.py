@@ -141,7 +141,7 @@ def _raised(parse, data):
 
 
 def load_into_the_checker(data):
-    """The command line's formula reader: no Formula is built."""
+    """The command line's formula reader, which parse_dimacs reads into a list."""
     CheckerState().load(clause_records(data))
 
 
@@ -219,15 +219,22 @@ def test_binary_error_after_many_records_is_found_in_linear_time(data, error, me
     assert time.perf_counter() - start < 10
 
 
-# Records built by hand, not read, get normalize_clause's checks from the
-# library functions that take them.
+# Records and clauses built by hand, not read, get the readers' clause
+# checks from the library functions that take them. Of several repeated
+# variables the smallest is named, its positive literal first.
 BAD_RECORD_LITERALS = [
     ([0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
     ([3, 0, 0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
     ([1, 2**31], LiteralRangeError, "literal 2147483648 out of range"),
     ([-2**31, 1, 1], LiteralRangeError, "literal -2147483648 out of range"),
+    ([2**31], LiteralRangeError, "literal 2147483648 out of range"),
     ([-3, 2, 3], TautologyError, "complementary literals 3 and -3"),
+    ([1, -1], TautologyError, "complementary literals 1 and -1"),
+    ([2, 5, -7, -5], TautologyError, "complementary literals 5 and -5"),
     ([2, 5, 2], DuplicateLiteralError, "duplicate literal 2"),
+    ([1, 1], DuplicateLiteralError, "duplicate literal 1"),
+    ([3, -2, 3], DuplicateLiteralError, "duplicate literal 3"),
+    ([2, 2, -1, 1], TautologyError, "complementary literals 1 and -1"),
 ]
 
 
@@ -236,11 +243,13 @@ BAD_RECORD_LITERALS = [
 @pytest.mark.parametrize(
     "function",
     [lambda records: check_proof(parse_dimacs(b"p cnf 1 2\n1 0\n-1 0\n"), records),
+     lambda records: check_proof([lits for _, lits in records], []),
      serialize_plain, serialize_binary],
-    ids=["check_proof", "serialize_plain", "serialize_binary"],
+    ids=["check_proof", "clauses given to check_proof", "serialize_plain", "serialize_binary"],
 )
 def test_hand_built_records_get_the_clause_checks_of_the_readers(function, lits, error, message, delete):
-    # the record after the empty clause is still read, as check_records reads on
+    # the record after the empty clause is still read, as check_records reads
+    # on; given as clauses, the literals of every record are a formula clause
     records = [(False, [1, -4]), (False, []), (delete, lits)]
     with pytest.raises(error) as info:
         function(records)

@@ -16,8 +16,8 @@ import types
 
 import pytest
 
-from dratcheck import REJECTED, VERIFIED, Formula, parse_dimacs
-from dratcheck.checker import CheckerState, check_records
+from dratcheck import REJECTED, VERIFIED, check_proof, parse_dimacs
+from dratcheck.checker import CheckerState
 from dratcheck.proofio import BINARY, PLAIN, binary_records, plain_records, write_records
 
 from conftest import PAPER_FORMULA, random_replay_case
@@ -92,13 +92,13 @@ def test_checking_makes_no_cycle_beyond_the_checker_state(encoding):
     cases = [(parse_dimacs(PAPER_FORMULA), steps, verdict) for steps, verdict in PAPER_PROOFS]
     for _ in range(60):
         clauses, steps = random_replay_case(rng)
-        cases.append((Formula.from_clauses(clauses), steps, None))
+        cases.append((clauses, steps, None))
     seen = dict.fromkeys(("deletions", "duplicate adds", "RAT steps", "trace lines", REJECTED, VERIFIED), 0)
     for formula, steps, verdict in cases:
         lines = []
         data = plain_bytes(steps)
         report, garbage = cyclic_garbage(
-            lambda: check_records(CheckerState(formula), records(encoding, data), trace=lines.append)
+            lambda: check_proof(formula, records(encoding, data), trace=lines.append)
         )
         assert verdict in (None, report.verdict)
         states = [obj for obj in garbage if type(obj) is CheckerState]
@@ -108,7 +108,7 @@ def test_checking_makes_no_cycle_beyond_the_checker_state(encoding):
         assert not stray, (steps, [type(obj).__name__ for obj in stray[:20]])
         seen[report.verdict] = seen.get(report.verdict, 0) + 1
         seen["deletions"] += sum(" removed one copy" in line or " matched stored" in line for line in lines)
-        seen["duplicate adds"] += duplicate_adds(formula.clause_counts(), steps)
+        seen["duplicate adds"] += duplicate_adds(formula, steps)
         seen["RAT steps"] += sum("RAT check with pivot" in line for line in lines)
         seen["trace lines"] += len(lines)
     assert min(seen.values()) >= 5, seen

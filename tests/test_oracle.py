@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import Formula
+from dratcheck import parse_dimacs
 from dratcheck.oracle import TooManyVariablesError, brute_force_sat
 
 from conftest import PAPER_CLAUSES, random_clause_list
@@ -36,9 +36,9 @@ def test_worked_example_with_both_proof_units_is_unsatisfiable():
     assert enumerate_satisfiable(PAPER_CLAUSES + [(-1,), (2,)]) is False
 
 
-def test_accepts_formula_objects():
-    formula = Formula.from_clauses([[1, 2], [-1], [-2]])
-    assert not brute_force_sat(formula).satisfiable
+def test_accepts_any_iterable_of_clauses():
+    assert not brute_force_sat(parse_dimacs("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n")).satisfiable
+    assert brute_force_sat(iter([[1, 2], [-1]])).satisfiable
 
 
 def test_model_is_total_and_satisfying():

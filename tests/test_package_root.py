@@ -13,7 +13,6 @@ ROOT_NAMES = [
     "CheckerState",
     "DeletionWarning",
     "DimacsError",
-    "Formula",
     "MAX_LITERAL",
     "NO_EMPTY_CLAUSE",
     "ProofError",
@@ -25,7 +24,6 @@ ROOT_NAMES = [
     "decode_varint",
     "encode_varint",
     "map_literal",
-    "normalize_clause",
     "parse_binary_proof",
     "parse_dimacs",
     "parse_plain_proof",
@@ -35,7 +33,7 @@ ROOT_NAMES = [
 ]
 
 # exported from a submodule only
-MODEL_NAMES = ["ClauseError", "TautologyError", "DuplicateLiteralError", "LiteralRangeError"]
+MODEL_NAMES = ["ClauseError", "TautologyError", "DuplicateLiteralError", "LiteralRangeError", "Formula"]
 PROOFIO_NAMES = ["BINARY", "PLAIN", "detect_encoding"]
 
 
