@@ -165,6 +165,30 @@ def test_proof_error_location(data, error, message, line, offset):
     assert _raised(parse_plain_proof, data) == (error, message, line, offset)
 
 
+def _proof_error_through_the_command_line(tmp_path, capsys, data, flags, expected):
+    formula, proof = tmp_path / "formula.cnf", tmp_path / "proof.drat"
+    formula.write_bytes(b"p cnf 1 0\n")
+    proof.write_bytes(data)
+    line = "c error: %s: %s\n" % (proof, expected)
+    assert main(["check", *flags, str(formula), str(proof)]) == 2
+    assert capsys.readouterr().out == line
+    output = tmp_path / "out"
+    assert main(["convert", *flags, str(proof), "--to", "binary", "-o", str(output)]) == 2
+    assert capsys.readouterr().out == line
+    # the output is opened only after the whole input has been read
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("data,error,message,line,offset", PROOF_CASES)
+def test_proof_error_through_the_command_line(tmp_path, capsys, data, error, message, line, offset):
+    _proof_error_through_the_command_line(tmp_path, capsys, data, [], error(message, line, offset))
+
+
+@pytest.mark.parametrize("data,error,message,offset", BINARY_CASES)
+def test_binary_proof_error_through_the_command_line(tmp_path, capsys, data, error, message, offset):
+    _proof_error_through_the_command_line(tmp_path, capsys, data, ["--binary"], error(message, offset=offset))
+
+
 
 @pytest.mark.parametrize("data,error,message,offset", BINARY_CASES)
 def test_binary_proof_error_location(data, error, message, offset):
