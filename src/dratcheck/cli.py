@@ -32,7 +32,7 @@ def run_check(args) -> int:
         # the clauses go into the checker's store as they are read: no list of them is built
         state = checker.CheckerState()
         state.load(dimacs.clause_records(_read(args.formula)))
-    except (OSError, ValueError) as exc:
+    except (OSError, dimacs.DimacsError) as exc:
         print("c error: %s: %s" % (args.formula, exc))
         return 2
     try:

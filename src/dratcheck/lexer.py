@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .model import MAX_LITERAL
+from .model import MAX_LITERAL, repeated_variable
 
 BLOCK_BYTES = 1 << 14  # a block ends at the first line end after this many bytes
 _TOKEN = re.compile(rb"[^ \t]+")
@@ -21,21 +21,19 @@ _DIGITS = b"-0123456789"
 
 
 class Lines:
-    """An input buffer cut into lines, raising errors of the given classes.
+    """An input buffer cut into lines, raising errors of the given class.
 
     Positions refer to the text with each ``\\r\\n`` made ``\\n``. A token is
     located by ``where`` = (position of a line start, n): the n-th token
     counted from there across the non-comment lines.
     """
 
-    def __init__(self, data, error, overflow=None, out_of_range=None):
+    def __init__(self, data, error):
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
         self.data = data
         self.text = data.replace(b"\r\n", b"\n")
         self.error = error
-        self.overflow = overflow or error  # for literals above 2^31 - 1
-        self.out_of_range = out_of_range or error  # for variables above the limit
         self.unterminated = None  # where the clause open at the end began
 
     def lines(self, pos: int = 0):
@@ -47,8 +45,8 @@ class Lines:
             yield pos, text[pos:end]
             pos = end + 1
 
-    def located(self, error, message, where):
-        """error(message) at where; a token number of None means the line start."""
+    def located(self, message, where):
+        """The reader's error(message) at where; a token number of None means the line start."""
         pos, token = where
         column = 0
         if token is not None:
@@ -62,16 +60,17 @@ class Lines:
         start = 0
         for _ in range(number):
             start = self.data.index(b"\n", start) + 1
-        return error(message, number + 1, start + column)
+        return self.error(message, number + 1, start + column)
 
     def clauses(self, pos: int = 0, limit: int = MAX_LITERAL, deletes: bool = False):
-        """Yield (delete, literals, where) for each clause ended by a 0 token.
+        """Yield (delete, literals) for each clause ended by a 0 token.
 
-        Reading starts at the line starting at pos. where locates the
-        clause's first token, which is its ``d`` prefix if deletes allows
-        one. Errors, a literal whose variable is above limit among them,
-        are raised in input order. A clause left open at the end of the
-        input is not yielded: its location is kept in ``unterminated``.
+        Reading starts at the line starting at pos. Errors, a literal whose
+        variable is above limit among them, are raised in input order. A
+        repeated variable is located at the clause's first token, which is
+        its ``d`` prefix if deletes allows one. A clause left open at the
+        end of the input is not yielded: its location is kept in
+        ``unterminated``.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
@@ -126,7 +125,10 @@ class Lines:
                     except ValueError:
                         pending += values[done:]
                         break
-                    yield delete, pending + values[done:zero], where
+                    lits = pending + values[done:zero]
+                    if len(set(map(abs, lits))) != len(lits):
+                        raise self.located(repeated_variable(lits), where)
+                    yield delete, lits
                     pending, delete, done = [], False, zero + 1
                 if bad is not None:
                     raise self._bad_token(run[bad], (first, at + bad), limit, deletes)
@@ -136,10 +138,9 @@ class Lines:
     def _bad_token(self, token, where, limit, deletes):
         text = token.decode("latin-1")
         if deletes and token[:1] == b"d":
-            return self.located(self.error, "malformed delete prefix %r" % text, where)
+            return self.located("malformed delete prefix %r" % text, where)
         if not re.fullmatch(rb"-?[1-9][0-9]*", token):
-            return self.located(self.error, "malformed literal %r" % text, where)
+            return self.located("malformed literal %r" % text, where)
         if len(token.lstrip(b"-")) > len(str(MAX_LITERAL)) or abs(int(token)) > MAX_LITERAL:
-            return self.located(self.overflow, "literal %s exceeds 2^31 - 1" % text, where)
-        message = "literal %s exceeds declared maximum variable %d" % (text, limit)
-        return self.located(self.out_of_range, message, where)
+            return self.located("literal %s exceeds 2^31 - 1" % text, where)
+        return self.located("literal %s exceeds declared maximum variable %d" % (text, limit), where)

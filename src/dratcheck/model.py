@@ -29,26 +29,14 @@ class LocatedError(ValueError):
 
 
 class ClauseError(ValueError):
-    """A clause violates the syntax restrictions."""
-
-
-class TautologyError(ClauseError):
-    """Clause contains a literal and its negation."""
-
-
-class DuplicateLiteralError(ClauseError):
-    """Clause contains the same literal twice."""
-
-
-class LiteralRangeError(ClauseError):
-    """Literal is zero or outside the 31-bit variable range."""
+    """A hand-built clause has a literal 0, a literal outside the 31-bit range or a repeated variable."""
 
 
 def check_literal(lit: int) -> int:
     if lit == 0:
-        raise LiteralRangeError("literal 0 is reserved as the clause terminator")
+        raise ClauseError("literal 0 is reserved as the clause terminator")
     if not -MAX_LITERAL <= lit <= MAX_LITERAL:
-        raise LiteralRangeError("literal %d out of range" % lit)
+        raise ClauseError("literal %d out of range" % lit)
     return lit
 
 
@@ -86,8 +74,8 @@ class _Value:
         return "%s(%s)" % (type(self).__name__, fields)
 
 
-def raise_repeated_variable(literals) -> None:
-    """Raise TautologyError or DuplicateLiteralError for literals, in which a variable repeats.
+def repeated_variable(literals) -> str:
+    """The error message for literals in which a variable repeats.
 
     The first offending pair in canonical order (ascending variable,
     positive literal first) is named.
@@ -95,21 +83,21 @@ def raise_repeated_variable(literals) -> None:
     ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
-            raise DuplicateLiteralError("duplicate literal %d" % a)
+            return "duplicate literal %d" % a
         if a == -b:
-            raise TautologyError("complementary literals %d and %d" % (a, b))
+            return "complementary literals %d and %d" % (a, b)
 
 
 def checked_clause(lits):
-    """The literals, once they pass the readers' checks: LiteralRangeError for 0
-    or a literal outside the 31-bit range, or raise_repeated_variable's error.
-    A valid clause costs one set of its variables and no sort."""
+    """The literals, once they pass the readers' checks: a ClauseError for 0, a
+    literal outside the 31-bit range or a repeated variable, named as the
+    readers name it. A valid clause costs one set of its variables and no sort."""
     variables = set(map(abs, lits))
     if 0 in variables or max(variables, default=0) > MAX_LITERAL:
         for lit in lits:
             check_literal(lit)
     if len(variables) != len(lits):
-        raise_repeated_variable(lits)
+        raise ClauseError(repeated_variable(lits))
     return lits
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .model import MAX_LITERAL, ClauseError, LocatedError, Memo, check_literal, checked_records, raise_repeated_variable
+from .model import MAX_LITERAL, LocatedError, Memo, check_literal, checked_records, repeated_variable
 from .lexer import Lines
 
 PLAIN = "plain"
@@ -16,27 +16,7 @@ MAX_CODE = 2 * MAX_LITERAL + 1
 
 
 class ProofError(LocatedError):
-    """Invalid DRAT input; line/offset refer to the input buffer."""
-
-
-class TruncatedVarintError(ProofError):
-    pass
-
-
-class VarintOverflowError(ProofError):
-    pass
-
-
-class InvalidCodeError(ProofError):
-    pass
-
-
-class BadPrefixError(ProofError):
-    pass
-
-
-class TruncatedRecordError(ProofError):
-    pass
+    """Invalid DRAT input; line/offset refer to the input buffer, and the message names the kind."""
 
 
 def map_literal(lit: int) -> int:
@@ -48,9 +28,9 @@ def map_literal(lit: int) -> int:
 def unmap_literal(code: int) -> int:
     """Inverse of map_literal."""
     if code < 2:
-        raise InvalidCodeError("literal code %d is reserved" % code)
+        raise ProofError("literal code %d is reserved" % code)
     if code > MAX_CODE:
-        raise InvalidCodeError("literal code %d out of range" % code)
+        raise ProofError("literal code %d out of range" % code)
     return code // 2 if code % 2 == 0 else -(code - 1) // 2
 
 
@@ -71,7 +51,7 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
     value = shift = consumed = 0
     while True:
         if pos + consumed >= len(data):
-            raise TruncatedVarintError("input ends inside a varint", offset=pos)
+            raise ProofError("input ends inside a varint", offset=pos)
         byte = data[pos + consumed]
         consumed += 1
         value |= (byte & 0x7F) << shift
@@ -79,25 +59,18 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
             break
         shift += 7
         if consumed == 5:
-            raise VarintOverflowError("varint longer than 5 bytes", offset=pos)
+            raise ProofError("varint longer than 5 bytes", offset=pos)
     if value > MAX_CODE:
-        raise VarintOverflowError("varint value %d out of literal range" % value, offset=pos)
+        raise ProofError("varint value %d out of literal range" % value, offset=pos)
     return value, consumed
 
 
 def plain_records(data):
     """Yield (delete, literals) for each step of a plain-text proof once it has passed every check."""
     reader = Lines(data, ProofError)
-    for delete, lits, where in reader.clauses(0, deletes=True):
-        if len(set(map(abs, lits))) != len(lits):
-            try:
-                raise_repeated_variable(lits)
-            except ClauseError as exc:
-                raise reader.located(ProofError, str(exc), where) from exc
-        yield delete, lits
+    yield from reader.clauses(0, deletes=True)
     if reader.unterminated is not None:
-        message = "end of input inside a proof step (missing terminating 0)"
-        raise reader.located(ProofError, message, reader.unterminated)
+        raise reader.located("end of input inside a proof step (missing terminating 0)", reader.unterminated)
 
 
 # A record is its prefix, its varints and a zero byte. A varint has at most
@@ -120,10 +93,7 @@ def binary_records(data: bytes):
         except ProofError:
             _raise_record_error(data, pos)
         if len(set(map(abs, lits))) != len(lits):
-            try:
-                raise_repeated_variable(lits)
-            except ClauseError as exc:
-                raise ProofError(str(exc), offset=pos) from exc
+            raise ProofError(repeated_variable(lits), offset=pos)
         yield record[1] == b"d", lits
         pos = record.end()
 
@@ -131,17 +101,17 @@ def binary_records(data: bytes):
 def _raise_record_error(data, start: int):
     """Decode the record at start, which holds an error, byte by byte and raise its first error."""
     if data[start] not in b"ad":
-        raise BadPrefixError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=start)
+        raise ProofError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=start)
     pos = start + 1
     while pos < len(data) and data[pos]:
         code, consumed = decode_varint(data, pos)
         try:
             unmap_literal(code)
-        except InvalidCodeError as exc:
+        except ProofError as exc:
             exc.offset = pos
             raise
         pos += consumed
-    raise TruncatedRecordError("input ends inside a record (missing zero byte)", offset=start)
+    raise ProofError("input ends inside a record (missing zero byte)", offset=start)
 
 
 def parse_plain_proof(data) -> list:

@@ -93,11 +93,11 @@ def replay_naive(clauses, steps):
 
 
 class NaiveBinaryError(ValueError):
-    """A binary proof error: the name of dratcheck's error class, message, offset."""
+    """A binary proof error: message and offset."""
 
-    def __init__(self, name, message, offset=0):
+    def __init__(self, message, offset=0):
         super().__init__(message)
-        self.name, self.message, self.offset = name, message, offset
+        self.message, self.offset = message, offset
 
 
 def parse_binary_naive(data):
@@ -117,17 +117,13 @@ def parse_binary_naive(data):
     while pos < len(data):
         start = pos
         if data[pos] not in b"ad":
-            raise NaiveBinaryError(
-                "BadPrefixError", "record prefix 0x%02x is neither 'a' nor 'd'" % data[pos], start
-            )
+            raise NaiveBinaryError("record prefix 0x%02x is neither 'a' nor 'd'" % data[pos], start)
         kind = chr(data[pos])
         pos += 1
         literals = []
         while True:
             if pos == len(data):
-                raise NaiveBinaryError(
-                    "TruncatedRecordError", "input ends inside a record (missing zero byte)", start
-                )
+                raise NaiveBinaryError("input ends inside a record (missing zero byte)", start)
             if data[pos] == 0:
                 pos += 1
                 break
@@ -135,25 +131,25 @@ def parse_binary_naive(data):
             code = 0
             for group in range(5):
                 if pos == len(data):
-                    raise NaiveBinaryError("TruncatedVarintError", "input ends inside a varint", varint_start)
+                    raise NaiveBinaryError("input ends inside a varint", varint_start)
                 byte = data[pos]
                 pos += 1
                 code += (byte % 128) * 128**group
                 if byte < 128:
                     break
             else:
-                raise NaiveBinaryError("VarintOverflowError", "varint longer than 5 bytes", varint_start)
+                raise NaiveBinaryError("varint longer than 5 bytes", varint_start)
             if code >= 2**32:
                 message = "varint value %d out of literal range" % code
-                raise NaiveBinaryError("VarintOverflowError", message, varint_start)
+                raise NaiveBinaryError(message, varint_start)
             if code < 2:
-                raise NaiveBinaryError("InvalidCodeError", "literal code %d is reserved" % code, varint_start)
+                raise NaiveBinaryError("literal code %d is reserved" % code, varint_start)
             literals.append(code // 2 if code % 2 == 0 else -(code // 2))
         ordered = sorted(literals, key=lambda lit: (abs(lit), lit < 0))
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
-                raise NaiveBinaryError("ProofError", "duplicate literal %d" % a, start)
+                raise NaiveBinaryError("duplicate literal %d" % a, start)
             if a == -b:
-                raise NaiveBinaryError("ProofError", "complementary literals %d and %d" % (a, b), start)
+                raise NaiveBinaryError("complementary literals %d and %d" % (a, b), start)
         steps.append((kind, tuple(literals)))
     return steps

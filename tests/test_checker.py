@@ -760,17 +760,17 @@ def test_a_rejected_clause_and_a_warning_hold_the_literals_as_written():
 
 
 def test_the_check_path_sorts_no_clause_canonically(monkeypatch, tmp_path, capsys):
-    # no variable repeats here, so no reader or checker step needs raise_repeated_variable
+    # no variable repeats here, so no reader or checker step needs repeated_variable
     import importlib
 
     import dratcheck
 
     def refuse(literals):
-        raise AssertionError("raise_repeated_variable(%r)" % (literals,))
+        raise AssertionError("repeated_variable(%r)" % (literals,))
 
     for name in ("model", "lexer", "dimacs", "proofio", "checker", "cli"):
         module = importlib.import_module("dratcheck." + name)
-        monkeypatch.setattr(module, "raise_repeated_variable", refuse, raising=False)
+        monkeypatch.setattr(module, "repeated_variable", refuse, raising=False)
     formula_text = "p cnf 4 8\n2 1 -3 0\n-1 -2 3 0\n-4 3 2 0\n-2 -3 4 0\n-1 -3 -4 0\n1 3 4 0\n4 2 -1 0\n1 -2 -4 0\n"
     proof_text = b"-1 0\nd 4 -1 2 0\nd 5 6 0\n2 0\n0\n"
     report = checker_module.check_records(loaded_state(formula_text), dratcheck.proofio.plain_records(proof_text))

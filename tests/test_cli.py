@@ -151,6 +151,20 @@ def test_check_bad_formula_with_missing_proof_exits_2_naming_the_formula(tmp_pat
     )
 
 
+def test_an_internal_value_error_while_loading_the_formula_is_not_reported_as_a_formula_error(
+    paper_files, monkeypatch, capsys
+):
+    # only a DimacsError or an OSError is the formula's fault; anything else is a bug and propagates
+    def fail(self, clauses):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(checker.CheckerState, "load", fail)
+    formula, proof = paper_files
+    with pytest.raises(ValueError, match="internal"):
+        main(["check", str(formula), str(proof)])
+    assert capsys.readouterr().out == ""
+
+
 def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkeypatch, capsys):
     # literals above 256 and over 128 variables, so that neither the parsed
     # literals nor most codes are CPython's cached small ints

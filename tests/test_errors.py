@@ -23,32 +23,17 @@ from dratcheck import (
 )
 from dratcheck.checker import CheckerState
 from dratcheck.cli import main
-from dratcheck.dimacs import (
-    ClauseCountError,
-    DimacsError,
-    HeaderError,
-    LiteralOverflowError,
-    UnterminatedClauseError,
-    VarOutOfRangeError,
-    clause_records,
-)
-from dratcheck.model import DuplicateLiteralError, LiteralRangeError, TautologyError
-from dratcheck.proofio import (
-    BadPrefixError,
-    InvalidCodeError,
-    ProofError,
-    TruncatedRecordError,
-    TruncatedVarintError,
-    VarintOverflowError,
-)
+from dratcheck.dimacs import DimacsError, clause_records
+from dratcheck.model import ClauseError
+from dratcheck.proofio import ProofError
 
 DIMACS_CASES = [
     # header
-    (b"1 2 0\n", HeaderError, "expected 'p cnf' header before clauses", 1, 0),
-    (b"c x\n\np cnf x 8\n", HeaderError, "malformed header 'p cnf x 8'", 3, 5),
-    (b"p cnf 4 8 extra\n", HeaderError, "malformed header 'p cnf 4 8 extra'", 1, 0),
-    (b"p cnf 2147483648 0\n", HeaderError, "variable count 2147483648 exceeds 2^31 - 1", 1, 0),
-    (b"c only\n", HeaderError, "no 'p cnf' header found", 0, None),
+    (b"1 2 0\n", DimacsError, "expected 'p cnf' header before clauses", 1, 0),
+    (b"c x\n\np cnf x 8\n", DimacsError, "malformed header 'p cnf x 8'", 3, 5),
+    (b"p cnf 4 8 extra\n", DimacsError, "malformed header 'p cnf 4 8 extra'", 1, 0),
+    (b"p cnf 2147483648 0\n", DimacsError, "variable count 2147483648 exceeds 2^31 - 1", 1, 0),
+    (b"c only\n", DimacsError, "no 'p cnf' header found", 0, None),
     # malformed literal
     (b"p cnf 2 1\n1 x 0\n", DimacsError, "malformed literal 'x'", 2, 12),
     (b"p cnf 2 1\n1 007 0\n", DimacsError, "malformed literal '007'", 2, 12),
@@ -56,14 +41,14 @@ DIMACS_CASES = [
     (b"p cnf 2 1\n1 2- 0\n", DimacsError, "malformed literal '2-'", 2, 12),
     (b"p cnf 2 1\n1 2 d 0\n", DimacsError, "malformed literal 'd'", 2, 14),
     # overflow
-    (b"p cnf 2147483647 1\n2147483648 0\n", LiteralOverflowError,
+    (b"p cnf 2147483647 1\n2147483648 0\n", DimacsError,
      "literal 2147483648 exceeds 2^31 - 1", 2, 19),
-    (b"p cnf 5 1\n1 -99999999999 0\n", LiteralOverflowError,
+    (b"p cnf 5 1\n1 -99999999999 0\n", DimacsError,
      "literal -99999999999 exceeds 2^31 - 1", 2, 12),
     # variable out of range
-    (b"p cnf 2 1\n1 -3 0\n", VarOutOfRangeError,
+    (b"p cnf 2 1\n1 -3 0\n", DimacsError,
      "literal -3 exceeds declared maximum variable 2", 2, 12),
-    (b"p cnf 2 2\n1 0 2\n\t3 x 0\n", VarOutOfRangeError,
+    (b"p cnf 2 2\n1 0 2\n\t3 x 0\n", DimacsError,
      "literal 3 exceeds declared maximum variable 2", 3, 17),
     # duplicate literal, at the clause's first literal
     (b"p cnf 2 1\n2 1 2 0\n", DimacsError, "duplicate literal 2", 2, 10),
@@ -72,12 +57,12 @@ DIMACS_CASES = [
     # the first error in input order wins: the clause ends before the bad token
     (b"p cnf 2 2\n1 1 0 x 0\n", DimacsError, "duplicate literal 1", 2, 10),
     # unterminated clause
-    (b"p cnf 2 1\n1 2\n", UnterminatedClauseError,
+    (b"p cnf 2 1\n1 2\n", DimacsError,
      "end of input inside a clause (missing terminating 0)", 2, 10),
-    (b"p cnf 2 2\n1 0\n\n  2 1", UnterminatedClauseError,
+    (b"p cnf 2 2\n1 0\n\n  2 1", DimacsError,
      "end of input inside a clause (missing terminating 0)", 4, 17),
     # clause count
-    (b"p cnf 2 2\n1 0\n", ClauseCountError, "header declares 2 clauses but 1 were found", 0, None),
+    (b"p cnf 2 2\n1 0\n", DimacsError, "header declares 2 clauses but 1 were found", 0, None),
     # blanks are space, tab, and \r before \n; nothing else splits a token
     (b"p cnf 2 1\n1\xa02 0\n", DimacsError, "malformed literal '1\\xa02'", 2, 10),
     (b"p cnf 2 1\n1\x0c2 0\n", DimacsError, "malformed literal '1\\x0c2'", 2, 10),
@@ -108,24 +93,24 @@ PROOF_CASES = [
 
 BINARY_CASES = [
     # bad prefix, first record and later records
-    (b"b\x02\x00", BadPrefixError, "record prefix 0x62 is neither 'a' nor 'd'", 0),
-    (b"a\x02\x00x", BadPrefixError, "record prefix 0x78 is neither 'a' nor 'd'", 3),
-    (b"a\x00\x00", BadPrefixError, "record prefix 0x00 is neither 'a' nor 'd'", 2),
+    (b"b\x02\x00", ProofError, "record prefix 0x62 is neither 'a' nor 'd'", 0),
+    (b"a\x02\x00x", ProofError, "record prefix 0x78 is neither 'a' nor 'd'", 3),
+    (b"a\x00\x00", ProofError, "record prefix 0x00 is neither 'a' nor 'd'", 2),
     # truncated record and truncated varint
-    (b"a\x02", TruncatedRecordError, "input ends inside a record (missing zero byte)", 0),
-    (b"a\x02\x00d\x04\x06", TruncatedRecordError, "input ends inside a record (missing zero byte)", 3),
-    (b"a\x80", TruncatedVarintError, "input ends inside a varint", 1),
-    (b"a\x02\x00a\x04\x80", TruncatedVarintError, "input ends inside a varint", 5),
+    (b"a\x02", ProofError, "input ends inside a record (missing zero byte)", 0),
+    (b"a\x02\x00d\x04\x06", ProofError, "input ends inside a record (missing zero byte)", 3),
+    (b"a\x80", ProofError, "input ends inside a varint", 1),
+    (b"a\x02\x00a\x04\x80", ProofError, "input ends inside a varint", 5),
     # varint longer than 5 bytes, and a code past 2^32 - 1
-    (b"a\x80\x80\x80\x80\x80\x00", VarintOverflowError, "varint longer than 5 bytes", 1),
-    (b"a\x80\x80\x80\x80\x10\x00", VarintOverflowError,
+    (b"a\x80\x80\x80\x80\x80\x00", ProofError, "varint longer than 5 bytes", 1),
+    (b"a\x80\x80\x80\x80\x10\x00", ProofError,
      "varint value 4294967296 out of literal range", 1),
-    (b"d\x00a\x02\x80\x80\x80\x80\x10\x00", VarintOverflowError,
+    (b"d\x00a\x02\x80\x80\x80\x80\x10\x00", ProofError,
      "varint value 4294967296 out of literal range", 4),
     # reserved codes 0 (non-minimal 80 00) and 1
-    (b"a\x80\x00\x00", InvalidCodeError, "literal code 0 is reserved", 1),
-    (b"a\x01\x00", InvalidCodeError, "literal code 1 is reserved", 1),
-    (b"a\x02\x00d\x04\x01\x00", InvalidCodeError, "literal code 1 is reserved", 5),
+    (b"a\x80\x00\x00", ProofError, "literal code 0 is reserved", 1),
+    (b"a\x01\x00", ProofError, "literal code 1 is reserved", 1),
+    (b"a\x02\x00d\x04\x01\x00", ProofError, "literal code 1 is reserved", 5),
     # duplicate or tautology, at the record start
     (b"a\x02\x04\x02\x00", ProofError, "duplicate literal 1", 0),
     (b"a\x02\x03\x00", ProofError, "complementary literals 1 and -1", 0),
@@ -229,9 +214,9 @@ def test_binary_varint_may_end_in_zero_after_a_continuation_byte():
 # the first record. The error must come from one linear pass, not from a
 # regex attempt at every later 'd', which takes minutes on these inputs.
 LONG_BAD_RECORDS = [
-    (b"1" + b"d 1 2 0\n" * 50000, BadPrefixError, "record prefix 0x31 is neither 'a' nor 'd'", 0),
-    (b"d" + b" 1 2 0\nd" * 50000, TruncatedRecordError, "input ends inside a record (missing zero byte)", 0),
-    (b"a\x02\x00" * 50000 + b"x" + b"d\x02" * 50000, BadPrefixError,
+    (b"1" + b"d 1 2 0\n" * 50000, ProofError, "record prefix 0x31 is neither 'a' nor 'd'", 0),
+    (b"d" + b" 1 2 0\nd" * 50000, ProofError, "input ends inside a record (missing zero byte)", 0),
+    (b"a\x02\x00" * 50000 + b"x" + b"d\x02" * 50000, ProofError,
      "record prefix 0x78 is neither 'a' nor 'd'", 150000),
 ]
 
@@ -247,18 +232,18 @@ def test_binary_error_after_many_records_is_found_in_linear_time(data, error, me
 # checks from the library functions that take them. Of several repeated
 # variables the smallest is named, its positive literal first.
 BAD_RECORD_LITERALS = [
-    ([0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
-    ([3, 0, 0], LiteralRangeError, "literal 0 is reserved as the clause terminator"),
-    ([1, 2**31], LiteralRangeError, "literal 2147483648 out of range"),
-    ([-2**31, 1, 1], LiteralRangeError, "literal -2147483648 out of range"),
-    ([2**31], LiteralRangeError, "literal 2147483648 out of range"),
-    ([-3, 2, 3], TautologyError, "complementary literals 3 and -3"),
-    ([1, -1], TautologyError, "complementary literals 1 and -1"),
-    ([2, 5, -7, -5], TautologyError, "complementary literals 5 and -5"),
-    ([2, 5, 2], DuplicateLiteralError, "duplicate literal 2"),
-    ([1, 1], DuplicateLiteralError, "duplicate literal 1"),
-    ([3, -2, 3], DuplicateLiteralError, "duplicate literal 3"),
-    ([2, 2, -1, 1], TautologyError, "complementary literals 1 and -1"),
+    ([0], ClauseError, "literal 0 is reserved as the clause terminator"),
+    ([3, 0, 0], ClauseError, "literal 0 is reserved as the clause terminator"),
+    ([1, 2**31], ClauseError, "literal 2147483648 out of range"),
+    ([-2**31, 1, 1], ClauseError, "literal -2147483648 out of range"),
+    ([2**31], ClauseError, "literal 2147483648 out of range"),
+    ([-3, 2, 3], ClauseError, "complementary literals 3 and -3"),
+    ([1, -1], ClauseError, "complementary literals 1 and -1"),
+    ([2, 5, -7, -5], ClauseError, "complementary literals 5 and -5"),
+    ([2, 5, 2], ClauseError, "duplicate literal 2"),
+    ([1, 1], ClauseError, "duplicate literal 1"),
+    ([3, -2, 3], ClauseError, "duplicate literal 3"),
+    ([2, 2, -1, 1], ClauseError, "complementary literals 1 and -1"),
 ]
 
 
@@ -277,5 +262,5 @@ def test_hand_built_records_get_the_clause_checks_of_the_readers(function, lits,
     records = [(False, [1, -4]), (False, []), (delete, lits)]
     with pytest.raises(error) as info:
         function(records)
-    assert str(info.value) == message
+    assert type(info.value) is error and str(info.value) == message
     assert function(records[:2]) is not None

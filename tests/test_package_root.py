@@ -1,5 +1,8 @@
-"""The names the package root exports, and the README's library example."""
+"""The names the package root exports, the exception classes each module
+defines, and the README's library example."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -33,8 +36,16 @@ ROOT_NAMES = [
 ]
 
 # exported from a submodule only
-MODEL_NAMES = ["ClauseError", "TautologyError", "DuplicateLiteralError", "LiteralRangeError", "Formula"]
+MODEL_NAMES = ["ClauseError", "Formula"]
 PROOFIO_NAMES = ["BINARY", "PLAIN", "detect_encoding"]
+
+# one error class per input: a DIMACS formula, a proof, a hand-built clause
+ERROR_CLASSES = {
+    "dimacs": ["DimacsError"],
+    "model": ["ClauseError", "LocatedError"],
+    "oracle": ["TooManyVariablesError"],
+    "proofio": ["ProofError"],
+}
 
 
 def test_the_package_root_exports_exactly_its_names():
@@ -47,6 +58,16 @@ def test_names_left_out_of_the_root_import_from_their_modules():
         for name in names:
             assert name not in dratcheck.__all__
             assert hasattr(module, name), "%s.%s" % (module.__name__, name)
+
+
+def test_each_module_defines_only_its_listed_exception_classes():
+    for info in pkgutil.iter_modules(dratcheck.__path__):
+        module = importlib.import_module("dratcheck." + info.name)
+        defined = sorted(
+            name for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+        )
+        assert defined == ERROR_CLASSES.get(info.name, []), info.name
 
 
 def test_readme_library_example_runs_on_the_worked_example(tmp_path, monkeypatch, capsys):

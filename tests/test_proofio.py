@@ -21,11 +21,6 @@ from dratcheck import (
 from dratcheck.proofio import (
     BINARY,
     PLAIN,
-    BadPrefixError,
-    InvalidCodeError,
-    TruncatedRecordError,
-    TruncatedVarintError,
-    VarintOverflowError,
     binary_records,
     detect_encoding,
     plain_records,
@@ -64,9 +59,9 @@ def test_literal_map_basics():
     with pytest.raises(ValueError):
         map_literal(MAX_LITERAL + 1)
     for code in (0, 1):
-        with pytest.raises(InvalidCodeError):
+        with pytest.raises(ProofError, match="literal code %d is reserved" % code):
             unmap_literal(code)
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(ProofError, match="literal code 4294967296 out of range"):
         unmap_literal(2 * MAX_LITERAL + 2)
 
 
@@ -77,13 +72,13 @@ def test_varint_table(value, hexbytes):
 
 
 def test_varint_decode_errors():
-    with pytest.raises(TruncatedVarintError):
+    with pytest.raises(ProofError, match="input ends inside a varint"):
         decode_varint(b"\x80")
-    with pytest.raises(TruncatedVarintError):
+    with pytest.raises(ProofError, match="input ends inside a varint"):
         decode_varint(b"")
-    with pytest.raises(VarintOverflowError):
+    with pytest.raises(ProofError, match="varint longer than 5 bytes"):
         decode_varint(b"\x80\x80\x80\x80\x80\x01")
-    with pytest.raises(VarintOverflowError):
+    with pytest.raises(ProofError, match="varint value 34359738367 out of literal range"):
         decode_varint(b"\xff\xff\xff\xff\x7f")  # 2^35 - 1 exceeds literal codes
 
 
@@ -164,13 +159,13 @@ def test_parse_binary_add_of_empty_clause():
 
 
 def test_parse_binary_errors():
-    with pytest.raises(BadPrefixError):
+    with pytest.raises(ProofError, match="record prefix 0x62"):
         parse_binary_proof(bytes([0x62, 0x00]))
-    with pytest.raises(TruncatedRecordError):
+    with pytest.raises(ProofError, match="missing zero byte"):
         parse_binary_proof(bytes([0x61, 0x02]))
-    with pytest.raises(TruncatedVarintError):
+    with pytest.raises(ProofError, match="input ends inside a varint"):
         parse_binary_proof(bytes([0x61, 0x80]))
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(ProofError, match="literal code 1 is reserved"):
         parse_binary_proof(bytes([0x61, 0x01, 0x00]))
 
 
