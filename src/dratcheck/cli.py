@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 
-from . import checker, dimacs, proofio
+from . import proofio
 from .model import REJECTED, WARN_UNIT_DELETION, format_clause
 
 
@@ -27,6 +27,9 @@ def _open_proof(path: str, encoding: str | None):
 
 
 def run_check(args) -> int:
+    # imported here, not at the top, so that a convert run loads neither the checker nor the DIMACS reader
+    from . import checker, dimacs
+
     quiet = args.verbosity < 0
     try:
         # the clauses go into the checker's store as they are read: no list of them is built

@@ -150,17 +150,16 @@ def serialize_binary(records) -> bytes:
 
 
 _BLANKS = re.compile(rb"[ \t\n\r]*")
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 def detect_encoding(data: bytes) -> str:
     """Guess PLAIN or BINARY from the buffer content.
 
     Binary proofs start with an 'a'/'d' record prefix, but those bytes are
-    also ordinary text, so binary is assumed only when the buffer contains
-    bytes no plain proof could contain.
+    also ordinary text, so binary is assumed only when the buffer also holds
+    a zero byte: every binary record ends in one, and no plain step can.
     """
     start = _BLANKS.match(data).end()
-    if data[start : start + 1] in (b"a", b"d") and data.translate(None, _PLAIN_BYTES):
+    if data[start : start + 1] in (b"a", b"d") and b"\x00" in data:
         return BINARY
     return PLAIN

@@ -1,6 +1,8 @@
 import pytest
 
-from dratcheck import CheckerState, parse_dimacs, parse_plain_proof
+from dratcheck.checker import CheckerState
+from dratcheck.dimacs import parse_dimacs
+from dratcheck.proofio import parse_plain_proof
 
 # Worked example used throughout: 4 variables, 8 clauses, and the 4-step
 # refutation of it (spacing kept as published).

@@ -9,24 +9,25 @@ import random
 import time
 from itertools import permutations
 
-from dratcheck import (
+from dratcheck.checker import check_proof
+from dratcheck.dimacs import parse_dimacs
+from dratcheck.model import (
     MAX_LITERAL,
     REJECTED,
     VERIFIED,
     WARN_DELETED_MISSING,
     WARN_UNIT_DELETION,
-    check_proof,
+)
+from dratcheck.proofio import (
     decode_varint,
     encode_varint,
     map_literal,
     parse_binary_proof,
-    parse_dimacs,
     parse_plain_proof,
     serialize_binary,
     serialize_plain,
     unmap_literal,
 )
-from dratcheck.oracle import brute_force_sat
 
 from conftest import (
     CONVERSION_BINARY,
@@ -40,6 +41,7 @@ from conftest import (
     random_proof,
     refutation_steps,
 )
+from oracle import brute_force_sat
 from slowpath import check_rat_naive, propagate_naive
 
 

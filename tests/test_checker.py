@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import (
+from dratcheck import checker as checker_module
+from dratcheck.checker import CheckerState, check_proof
+from dratcheck.dimacs import clause_records, parse_dimacs
+from dratcheck.model import (
     NO_EMPTY_CLAUSE,
     REJECTED,
     VERIFIED,
     WARN_DELETED_MISSING,
     WARN_UNIT_DELETION,
-    CheckerState,
-    ProofError,
-    check_proof,
-    parse_dimacs,
-    parse_plain_proof,
 )
-from dratcheck import checker as checker_module
-from dratcheck.dimacs import clause_records
-from dratcheck.oracle import brute_force_sat
+from dratcheck.proofio import ProofError, parse_plain_proof
 
 from conftest import (
     PAPER_CLAUSES,
@@ -36,6 +32,7 @@ from conftest import (
     refutation_steps,
     write_dimacs,
 )
+from oracle import brute_force_sat
 from slowpath import check_at_naive, check_rat_naive, propagate_naive, replay_naive
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from dratcheck import checker, model, parse_plain_proof, serialize_binary
+from dratcheck import checker, model
 from dratcheck.cli import main
+from dratcheck.proofio import parse_plain_proof, serialize_binary
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_FORMULA, PAPER_PROOF
 
@@ -317,20 +318,47 @@ def test_exit_codes_partition_outcomes(paper_files, tmp_path):
     assert main(["check", missing, str(proof)]) == 2
 
 
-def test_cli_import_leaves_out_dataclasses_and_the_oracle():
-    import os
+IMPORTS_SCRIPT = """
+import importlib.util, sys
+sys.path.insert(0, %(source)r)
+import dratcheck
+print(sorted(name for name in sys.modules if name.startswith("dratcheck.")))
+from dratcheck.cli import main
+main(["convert", %(plain)r, "--to", "binary", "-o", %(binary)r])
+main(["convert", %(binary)r, "--to", "plain", "-o", %(plain)r])
+print(sorted({"dataclasses", "dratcheck.checker", "dratcheck.dimacs"} & set(sys.modules)))
+print(importlib.util.find_spec("dratcheck.oracle"))
+"""
+
+
+def test_the_root_loads_nothing_and_convert_loads_no_checker(tmp_path):
     import subprocess
     import sys
 
     import dratcheck
 
-    source = os.path.dirname(os.path.dirname(dratcheck.__file__))
-    script = "import sys; sys.path.insert(0, %r); import dratcheck.cli; " % source + (
-        "print(sorted({'dataclasses', 'dratcheck.oracle'} & set(sys.modules)))"
-    )
+    plain, binary = tmp_path / "proof.drat", tmp_path / "proof.bdrat"
+    plain.write_bytes(CONVERSION_PLAIN)
+    script = IMPORTS_SCRIPT % {
+        "source": str(Path(dratcheck.__file__).parents[1]), "plain": str(plain), "binary": str(binary)
+    }
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    lines = run.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-2:] == ["[]", "None"], run.stdout
+    assert binary.read_bytes() == CONVERSION_BINARY and plain.read_bytes() == CONVERSION_PLAIN
+
+
+def test_a_plain_proof_starting_with_d_and_holding_no_zero_byte_is_read_as_plain(tmp_path, capsys):
+    # the comment's UTF-8 bytes are not ASCII, but only a zero byte marks a binary proof
+    formula, proof, output = tmp_path / "formula.cnf", tmp_path / "proof.drat", tmp_path / "proof.bdrat"
+    formula.write_bytes(b"p cnf 2 3\n1 2 0\n1 0\n-1 0\n")
+    proof.write_bytes(b"d 1 2 0\nc caf\xc3\xa9\n0\n")
+    assert main(["check", str(formula), str(proof)]) == 0
+    assert capsys.readouterr().out == "s VERIFIED\n"
+    assert main(["convert", str(proof), "--to", "binary", "-o", str(output)]) == 0
+    assert capsys.readouterr().out == "c read 18 bytes (plain), wrote 6 bytes (binary)\n"
+    assert output.read_bytes() == b"d\x02\x04\x00a\x00"
 
 
 # The process entry points run without the cyclic collector and freeze the

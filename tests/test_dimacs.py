@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import DimacsError, parse_dimacs
+from dratcheck.dimacs import DimacsError, parse_dimacs
 
 from conftest import PAPER_CLAUSES, PAPER_FORMULA, write_dimacs
 

@@ -13,19 +13,17 @@ import time
 
 import pytest
 
-from dratcheck import (
-    check_proof,
+from dratcheck.checker import CheckerState, check_proof
+from dratcheck.cli import main
+from dratcheck.dimacs import DimacsError, clause_records, parse_dimacs
+from dratcheck.model import ClauseError
+from dratcheck.proofio import (
+    ProofError,
     parse_binary_proof,
-    parse_dimacs,
     parse_plain_proof,
     serialize_binary,
     serialize_plain,
 )
-from dratcheck.checker import CheckerState
-from dratcheck.cli import main
-from dratcheck.dimacs import DimacsError, clause_records
-from dratcheck.model import ClauseError
-from dratcheck.proofio import ProofError
 
 DIMACS_CASES = [
     # header
@@ -89,6 +87,10 @@ PROOF_CASES = [
     # blanks are space, tab, and \r before \n
     (b"1\xa02 0\n", ProofError, "malformed literal '1\\xa02'", 1, 0),
     (b"c x\x85y\n1 0\r\n1 x 0\n", ProofError, "malformed literal 'x'", 3, 13),
+    # a binary proof cut off before its first zero byte is detected as plain;
+    # with --binary it gets the binary error (BINARY_CASES)
+    (b"a\x02", ProofError, "malformed literal 'a\\x02'", 1, 0),
+    (b"d\x02\x04", ProofError, "malformed delete prefix 'd\\x02\\x04'", 1, 0),
 ]
 
 BINARY_CASES = [
@@ -98,6 +100,7 @@ BINARY_CASES = [
     (b"a\x00\x00", ProofError, "record prefix 0x00 is neither 'a' nor 'd'", 2),
     # truncated record and truncated varint
     (b"a\x02", ProofError, "input ends inside a record (missing zero byte)", 0),
+    (b"d\x02\x04", ProofError, "input ends inside a record (missing zero byte)", 0),
     (b"a\x02\x00d\x04\x06", ProofError, "input ends inside a record (missing zero byte)", 3),
     (b"a\x80", ProofError, "input ends inside a varint", 1),
     (b"a\x02\x00a\x04\x80", ProofError, "input ends inside a varint", 5),

@@ -11,14 +11,8 @@ or the same error as a byte-at-a-time reference decoder.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import (
-    DimacsError,
-    ProofError,
-    parse_binary_proof,
-    parse_dimacs,
-    parse_plain_proof,
-    serialize_plain,
-)
+from dratcheck.dimacs import DimacsError, parse_dimacs
+from dratcheck.proofio import ProofError, parse_binary_proof, parse_plain_proof, serialize_plain
 
 from conftest import write_dimacs
 from slowpath import NaiveBinaryError, parse_binary_naive

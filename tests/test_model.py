@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from dratcheck import (
+from dratcheck.model import (
     NO_EMPTY_CLAUSE,
     REJECTED,
     VERIFIED,
     WARN_UNIT_DELETION,
     CheckReport,
     DeletionWarning,
+    Formula,
 )
-from dratcheck.model import Formula
 
 from conftest import loaded
 

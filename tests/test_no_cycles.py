@@ -16,8 +16,9 @@ import types
 
 import pytest
 
-from dratcheck import REJECTED, VERIFIED, check_proof, parse_dimacs
-from dratcheck.checker import CheckerState
+from dratcheck.checker import CheckerState, check_proof
+from dratcheck.dimacs import parse_dimacs
+from dratcheck.model import REJECTED, VERIFIED
 from dratcheck.proofio import BINARY, PLAIN, binary_records, plain_records, write_records
 
 from conftest import PAPER_FORMULA, random_replay_case

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import parse_dimacs
-from dratcheck.oracle import TooManyVariablesError, brute_force_sat
+from dratcheck.dimacs import parse_dimacs
 
 from conftest import PAPER_CLAUSES, random_clause_list
+from oracle import TooManyVariablesError, brute_force_sat
 
 
 def enumerate_satisfiable(clauses):

@@ -1,5 +1,5 @@
-"""The names the package root exports, the exception classes each module
-defines, and the README's library example."""
+"""Each public name's module, the package root that binds none, the exception
+classes each module defines, and the README's library example."""
 
 import importlib
 import pkgutil
@@ -7,57 +7,65 @@ import re
 from pathlib import Path
 
 import dratcheck
-from dratcheck import model, proofio
 
 from conftest import PAPER_FORMULA, PAPER_PROOF
 
-ROOT_NAMES = [
-    "CheckReport",
-    "CheckerState",
-    "DeletionWarning",
-    "DimacsError",
-    "MAX_LITERAL",
-    "NO_EMPTY_CLAUSE",
-    "ProofError",
-    "REJECTED",
-    "VERIFIED",
-    "WARN_DELETED_MISSING",
-    "WARN_UNIT_DELETION",
-    "check_proof",
-    "decode_varint",
-    "encode_varint",
-    "map_literal",
-    "parse_binary_proof",
-    "parse_dimacs",
-    "parse_plain_proof",
-    "serialize_binary",
-    "serialize_plain",
-    "unmap_literal",
-]
-
-# exported from a submodule only
-MODEL_NAMES = ["ClauseError", "Formula"]
-PROOFIO_NAMES = ["BINARY", "PLAIN", "detect_encoding"]
+# every public name is imported from the module that defines it
+HOMES = {
+    "checker": ["CheckerState", "check_proof"],
+    "dimacs": ["DimacsError", "parse_dimacs"],
+    "model": [
+        "MAX_LITERAL",
+        "NO_EMPTY_CLAUSE",
+        "REJECTED",
+        "VERIFIED",
+        "WARN_DELETED_MISSING",
+        "WARN_UNIT_DELETION",
+        "CheckReport",
+        "ClauseError",
+        "DeletionWarning",
+        "Formula",
+    ],
+    "proofio": [
+        "BINARY",
+        "PLAIN",
+        "ProofError",
+        "decode_varint",
+        "detect_encoding",
+        "encode_varint",
+        "map_literal",
+        "parse_binary_proof",
+        "parse_plain_proof",
+        "serialize_binary",
+        "serialize_plain",
+        "unmap_literal",
+    ],
+}
 
 # one error class per input: a DIMACS formula, a proof, a hand-built clause
 ERROR_CLASSES = {
     "dimacs": ["DimacsError"],
     "model": ["ClauseError", "LocatedError"],
-    "oracle": ["TooManyVariablesError"],
     "proofio": ["ProofError"],
 }
 
 
-def test_the_package_root_exports_exactly_its_names():
-    assert sorted(dratcheck.__all__) == ROOT_NAMES
-    assert all(hasattr(dratcheck, name) for name in ROOT_NAMES)
+def test_the_package_root_binds_no_public_name():
+    # importing a submodule binds it on the package, and nothing else may be bound there
+    bound = [
+        name for name, value in vars(dratcheck).items()
+        if not name.startswith("_") and getattr(value, "__name__", None) != "dratcheck." + name
+    ]
+    assert bound == []
 
 
-def test_names_left_out_of_the_root_import_from_their_modules():
-    for module, names in ((model, MODEL_NAMES), (proofio, PROOFIO_NAMES)):
+def test_each_public_name_imports_from_its_module():
+    for module_name, names in HOMES.items():
+        module = importlib.import_module("dratcheck." + module_name)
         for name in names:
-            assert name not in dratcheck.__all__
-            assert hasattr(module, name), "%s.%s" % (module.__name__, name)
+            assert hasattr(module, name), "%s.%s" % (module_name, name)
+            # a class or function is defined there, not imported from elsewhere
+            assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__, name
 
 
 def test_each_module_defines_only_its_listed_exception_classes():

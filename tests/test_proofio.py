@@ -5,25 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dratcheck import (
-    DimacsError,
-    MAX_LITERAL,
+from dratcheck.dimacs import DimacsError
+from dratcheck.model import MAX_LITERAL
+from dratcheck.proofio import (
+    BINARY,
+    PLAIN,
     ProofError,
+    binary_records,
     decode_varint,
+    detect_encoding,
     encode_varint,
     map_literal,
     parse_binary_proof,
     parse_plain_proof,
+    plain_records,
     serialize_binary,
     serialize_plain,
     unmap_literal,
-)
-from dratcheck.proofio import (
-    BINARY,
-    PLAIN,
-    binary_records,
-    detect_encoding,
-    plain_records,
 )
 
 from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_PROOF, random_proof
@@ -206,6 +204,9 @@ def test_detect_encoding_cases():
     assert detect_encoding(b"") == PLAIN
     assert detect_encoding(b"  \n 1 0\n") == PLAIN
     assert detect_encoding(bytes([0x61, 0x02, 0x00])) == BINARY
+    # every binary record ends in a zero byte: without one the input is plain
+    assert detect_encoding("d 1 2 0\nc café\n0\n".encode()) == PLAIN
+    assert detect_encoding(b"a\x02") == PLAIN
 
 
 def test_detect_encoding_keeps_a_long_plain_proof_starting_with_d_plain():
