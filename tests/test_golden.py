@@ -5,7 +5,9 @@ Each directory under tests/golden holds a formula, its proof in both
 encodings and expected.json, the exit code and stdout lines of every run.
 Between them the cases cover a passed RAT step, a failed resolvent, a
 deletion written in another order than its stored clause, both deletion
-warnings and an empty-clause rejection.
+warnings and an empty-clause rejection. In rat-917 the formula holds a
+clause twice: it is a RAT candidate before and after a deletion of one
+copy, and a later lemma needs the copy that is left.
 
 The transcripts are fixed: a change that alters one must say why. To
 rewrite them from the current code, run `python tests/test_golden.py`
@@ -29,6 +31,7 @@ PROOFS = {"plain": "proof.drat", "binary": "proof.bin"}
 # case name -> (conftest generator, seed); drawn once, then committed
 CASES = {
     "rat-28": ("rat_replay_case", 28),
+    "rat-917": ("rat_replay_case", 917),
     "replay-1": ("random_replay_case", 1),
     "replay-50": ("random_replay_case", 50),
     "replay-184": ("random_replay_case", 184),
@@ -63,6 +66,14 @@ def test_the_golden_cases_cover_their_features():
                  "deleted clause not in formula", "ignored deletion of unit clause", "empty clause not AT"):
         assert any(text in line for line in verbose), text
     assert any("RAT check with pivot" in a and "AT passed" in b for a, b in zip(verbose, verbose[1:]))
+    # a clause the formula holds twice, one copy of which the proof deletes
+    deleted_duplicates = []
+    for case in CASES:
+        formula = [frozenset(line.split()[:-1]) for line in (GOLDEN / case / "formula.cnf").read_text().splitlines()[1:]]
+        proof = (GOLDEN / case / "proof.drat").read_text().splitlines()
+        deleted = [frozenset(line.split()[1:-1]) for line in proof if line.startswith("d ")]
+        deleted_duplicates += [clause for clause in deleted if formula.count(clause) > 1]
+    assert deleted_duplicates
 
 
 def _write_case(name: str) -> None:
