@@ -31,15 +31,18 @@ class CheckerState:
     variables, not the largest literal value.
 
     Clauses come in through load as literal sequences in written order, and
-    are only read. A distinct non-empty clause is one code
-    list, in the order its first copy was written, while at least one copy
-    is present; duplicate copies share it, since propagation cannot tell
-    them apart, and copies beyond the first are counted in a sparse dict
-    keyed by the list's ``id``. ``_ids`` maps each clause's sorted codes,
-    the ints held in ``_code``, to its code list, so any order of the same
-    literals finds it. ``_ids`` and the occurrence lists hold clauses of
-    every length alike, so RAT candidates, deletions and ``-v`` lines do not
-    depend on how a clause propagates. A clause of three or more literals is
+    are only read. Each non-empty copy becomes a code list in written order
+    that propagates at once and waits in ``_pending``. ``_ids``, the
+    deletion index, maps each clause's sorted codes, the ints held in
+    ``_code``, to its code list, so any order of the same literals finds it.
+    It is a cache that ``_index`` brings up to date on the first deletion,
+    RAT stage or ``clause_counts()``, so a check that does none of these
+    builds no key. Catching up keeps one code list per distinct clause,
+    its first copy's; a later copy leaves propagation, which cannot tell
+    the two apart, and is counted in a sparse dict keyed by the list's
+    ``id``. ``_ids`` and the occurrence lists hold clauses of every length
+    alike, so RAT candidates, deletions and ``-v`` lines do not depend on
+    how a clause propagates. A clause of three or more literals is
     watched at positions 0 and 1; a binary clause {a, b} is watched nowhere,
     as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
     reads before a falsified code's watches. No parsed literal is kept.
@@ -60,7 +63,8 @@ class CheckerState:
         self._implied: list[list[int] | tuple[()]] = []
         # by code: code lists containing it, oldest first; built by the first RAT stage
         self._occurs: list[list[list[int]]] | None = None
-        self._ids: dict[tuple[int, ...], list[int]] = {}  # key -> codes, watches first
+        self._ids: dict[tuple[int, ...], list[int]] = {}  # key -> codes, watches first; see _index
+        self._pending: list[list[int]] = []  # code lists loaded since _ids was last brought up to date
         self._surplus: dict[int, int] = {}  # id(codes) -> copies beyond the first
         self._units: list[int] = []
         self._trail: list[int] = []
@@ -89,24 +93,16 @@ class CheckerState:
 
     def load(self, clauses) -> None:
         """Add one copy of each clause, a duplicate-free literal sequence; duplicate
-        clauses and the empty clause included."""
-        ids, occurs, watches, units = self._ids, self._occurs, self._watches, self._units
-        implied, surplus = self._implied, self._surplus
+        clauses and the empty clause included. A copy propagates at once, and
+        waits in _pending for _index to key it."""
+        watches, units, implied, pending = self._watches, self._units, self._implied, self._pending
         code_of = self._code.__getitem__
         for clause in clauses:
             if not clause:
                 self._empty_copies += 1
                 continue
             codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
-            key = tuple(sorted(codes))
-            stored = ids.get(key)
-            if stored is not None:
-                surplus[id(stored)] = surplus.get(id(stored), 0) + 1
-                continue
-            ids[key] = codes
-            if occurs is not None:
-                for code in codes:
-                    occurs[code].append(codes)
+            pending.append(codes)
             if len(codes) == 1:
                 units.append(codes[0])
             elif len(codes) == 2:
@@ -117,11 +113,46 @@ class CheckerState:
                 watches[codes[0]].append(codes)
                 watches[codes[1]].append(codes)
 
+    def _index(self) -> dict[tuple[int, ...], list[int]]:
+        """_ids, brought up to date with the pending copies in load order: a copy
+        of a clause not stored becomes its stored clause, and any other copy
+        is counted in _surplus and leaves propagation, where its twin acts alike."""
+        ids, surplus, occurs = self._ids, self._surplus, self._occurs
+        for codes in self._pending:
+            stored = ids.setdefault(tuple(sorted(codes)), codes)
+            if stored is not codes:
+                surplus[id(stored)] = surplus.get(id(stored), 0) + 1
+                self._unattach(codes)
+            elif occurs is not None:
+                for code in codes:
+                    occurs[code].append(codes)
+        self._pending.clear()
+        return ids
+
+    def _unattach(self, codes) -> None:
+        # take one copy out of propagation; before the index catches up, a
+        # watch list may also hold an equal copy, as a conflict can swap one
+        # copy's positions 0 and 1 and not the other's, so a watch is found
+        # by identity (index tries identity first, and skips equal lists)
+        if len(codes) == 1:
+            self._units.remove(codes[0])
+        elif len(codes) == 2:
+            self._implied[codes[0]].remove(codes[1])
+            self._implied[codes[1]].remove(codes[0])
+        else:
+            for code in codes[:2]:
+                watchers = self._watches[code]
+                at = watchers.index(codes)
+                while watchers[at] is not codes:
+                    at = watchers.index(codes, at + 1)
+                del watchers[at]
+
     def _occurrences(self) -> list[list[list[int]]]:
         """The occurrence lists, built oldest first on first use."""
+        ids = self._index()
         if self._occurs is None:
             self._occurs = [[] for _ in self._values]
-            for codes in self._ids.values():
+            for codes in ids.values():
                 for code in codes:
                     self._occurs[code].append(codes)
         return self._occurs
@@ -136,24 +167,21 @@ class CheckerState:
         if None in found:
             return False  # a variable never seen is in no clause, and gets no codes here
         key = tuple(sorted(found))
-        codes = self._ids.get(key)
+        ids = self._index()
+        codes = ids.get(key)
         if codes is None:
             return False
         extra = self._surplus.pop(id(codes), 0)
         if extra > 1:
             self._surplus[id(codes)] = extra - 1
         elif not extra:
-            # two live clauses never compare equal, so remove finds this one
-            del self._ids[key]
+            del ids[key]
             if self._occurs is not None:
+                # with the index up to date, two live clauses never compare
+                # equal, so remove finds this one
                 for code in codes:
                     self._occurs[code].remove(codes)
-            if len(codes) == 2:
-                self._implied[codes[0]].remove(codes[1])
-                self._implied[codes[1]].remove(codes[0])
-            else:
-                self._watches[codes[0]].remove(codes)
-                self._watches[codes[1]].remove(codes)
+            self._unattach(codes)
         return True
 
     # -- unit propagation ----------------------------------------------------
@@ -309,7 +337,7 @@ class CheckerState:
         """Copies of each clause, its literals sorted by variable."""
         extra = self._surplus.get
         counts = {
-            tuple(sorted(self._literals(codes), key=abs)): 1 + extra(id(codes), 0) for codes in self._ids.values()
+            tuple(sorted(self._literals(codes), key=abs)): 1 + extra(id(codes), 0) for codes in self._index().values()
         }
         return {(): self._empty_copies, **counts} if self._empty_copies else counts
 

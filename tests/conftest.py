@@ -272,15 +272,25 @@ def binary_replay_case(rng, max_var=6):
 # -- the checker's store between steps ----------------------------------------
 
 def assert_store_invariants(state):
-    """No assignment is left; each live clause of three or more literals is
-    watched at its positions 0 and 1, once each, and nowhere else; each live
+    """The store as it stands, without bringing the index up to date.
+
+    No assignment is left. The live copies are the indexed clauses plus
+    the pending copies, and no pending copy is indexed; each index key is
+    its clause's sorted codes. Each live copy is attached exactly once: a
+    unit puts its code in the unit list; a clause of three or more literals
+    is watched at its positions 0 and 1, once each, and nowhere else; a
     binary clause is watched nowhere and puts its other code in each of its
-    codes' implication lists once, which hold nothing else (units are in
-    neither); an implication slot is a list or the shared (); built
-    occurrence lists hold the live clauses in store order; surplus copies
-    are counted for live clauses only."""
+    codes' implication lists once, which hold nothing else. An implication
+    slot is a list or the shared (). Built occurrence lists hold the
+    indexed clauses in store order. Surplus copies are counted for indexed
+    clauses only."""
     assert state._trail == [] and not any(state._values)
-    live = list(state._ids.values())
+    indexed, pending = list(state._ids.values()), state._pending
+    assert not {id(codes) for codes in pending} & {id(codes) for codes in indexed}
+    assert all(key == tuple(sorted(codes)) for key, codes in state._ids.items())
+    live = indexed + pending
+    assert len({id(codes) for codes in live}) == len(live)
+    assert sorted(state._units) == sorted(codes[0] for codes in live if len(codes) == 1)
     watched = [(code, id(codes)) for code, watchers in enumerate(state._watches) for codes in watchers]
     expected = [(codes[k], id(codes)) for codes in live if len(codes) > 2 for k in (0, 1)]
     assert sorted(watched) == sorted(expected)
@@ -291,8 +301,8 @@ def assert_store_invariants(state):
     assert all(type(others) is list or others == () for others in state._implied)
     if state._occurs is not None:
         for code, occurrences in enumerate(state._occurs):
-            assert [id(codes) for codes in occurrences] == [id(codes) for codes in live if code in codes]
-    assert set(state._surplus) <= {id(codes) for codes in live}
+            assert [id(codes) for codes in occurrences] == [id(codes) for codes in indexed if code in codes]
+    assert set(state._surplus) <= {id(codes) for codes in indexed}
     assert all(extra > 0 for extra in state._surplus.values())
 
 

@@ -355,7 +355,8 @@ def test_check_proof_reads_the_formula_and_keeps_no_copy_of_it():
     attributes = vars(state).values()
     given = {id(clauses), *map(id, clauses)}
     assert not given & {id(value) for value in attributes}
-    assert not given & {id(codes) for codes in state._ids.values()}
+    assert not given & {id(codes) for codes in state._pending}
+    assert not given & {id(codes) for codes in state._index().values()}
     keyed_by_clauses = [value for value in attributes
                         if isinstance(value, dict) and any(isinstance(key, tuple) for key in value)]
     assert len(keyed_by_clauses) == 1
@@ -674,6 +675,8 @@ def test_store_invariants_hold_after_every_step():
             assert_store_invariants(state)
             live = naive_store(clauses, applied)
             counts = state.clause_counts()
+            assert state._pending == []
+            assert_store_invariants(state)
             counts.pop((), None)
             live.pop((), None)
             assert list(counts.items()) == list(live.items()), (clauses, steps, number)
@@ -697,6 +700,69 @@ def test_a_trace_that_raises_at_the_first_resolvent_leaves_the_trail_empty():
     assert_store_invariants(state)
     state.trace = None
     assert state.apply_add([1, 4], 2).failed_resolvent == (1, 4, 2)
+
+
+# -- duplicate copies: pending until the index catches up, then merged --------
+
+
+def test_each_deletion_of_a_merged_clause_removes_one_copy():
+    # a unit, a binary clause and a longer clause, each twice, the longer one
+    # also as a permuted third copy; every copy waits for the first deletion
+    state = loaded([(5,), (-1, 2), (-2, 3, 4), (5,), (2, -1), (-2, 3, 4), (4, -2, 3)])
+    assert state._ids == {} and len(state._pending) == 7
+    assert_store_invariants(state)
+    step = 0
+    for clause, copies in (((-1, 2), 2), ((-2, 3, 4), 3)):
+        for _ in range(copies):
+            assert state.check_at(clause)  # a copy is left to propagate through
+            step += 1
+            assert state.apply_delete(clause[::-1], step) is None
+            assert state._pending == []
+            assert_store_invariants(state)
+        assert not state.check_at(clause)
+        step += 1
+        assert state.apply_delete(clause, step).kind == WARN_DELETED_MISSING
+    assert state._units == [state._code[5]] and state.check_at((5,))
+    assert state.clause_counts() == {(5,): 2}
+
+
+def test_a_duplicated_rat_candidate_merged_mid_trail_gives_one_resolvent_line(monkeypatch, tmp_path, capsys):
+    from dratcheck.cli import main
+
+    # (1 3) fails AT; its one RAT candidate on -1 is held in three copies
+    formula, proof = tmp_path / "formula.cnf", tmp_path / "proof.drat"
+    formula.write_text(write_dimacs([(-1, 2, 5), (3, 2, 4), (5, -1, 2), (3, 2, -4), (-1, 2, 5)]))
+    proof.write_text("1 3 0\n")
+    index = CheckerState._index
+    calls = []
+
+    def record(state):
+        calls.append((len(state._trail), len(state._pending)))
+        return index(state)
+
+    monkeypatch.setattr(CheckerState, "_index", record)
+    assert main(["check", "-v", str(formula), str(proof)]) == 1
+    assert calls[0][0] > 0 and calls[0][1] == 5  # the lemma's fixpoint is on the trail
+    resolvents = [line for line in capsys.readouterr().out.splitlines() if "resolvent" in line]
+    assert resolvents == ["c step 1: resolvent (1 3 2 5) (with (-1 2 5)): AT passed"]
+
+
+def test_equal_copies_swapped_apart_by_a_conflict_merge_by_identity():
+    # (1 2 3) and (2 1 3) are copies; the conflict of (1 2 3) swaps its
+    # positions 0 and 1 and stops before (2 1 3), so both lists read the
+    # same codes, and equality alone cannot tell which one is pending
+    state = loaded([(1, 2, 3), (2, 1, 3)])
+    first, second = state._pending
+    assert first != second
+    assert state.check_at((1, 2, 3))
+    assert first == second and first is not second
+    assert_store_invariants(state)
+    assert state.clause_counts() == {(1, 2, 3): 2}
+    assert_store_invariants(state)
+    assert [*state._ids.values()] == [first] and state._ids[tuple(sorted(first))] is first
+    assert state.apply_delete([3, 2, 1], 1) is None and state.check_at((1, 2, 3))
+    assert state.apply_delete([2, 1, 3], 2) is None and not state.check_at((1, 2, 3))
+    assert_store_invariants(state)
 
 
 # -- the command line's store: DIMACS clauses loaded straight into the checker --
@@ -740,7 +806,7 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
 
 def test_a_clause_is_stored_as_written_and_keyed_by_its_sorted_codes():
     state = loaded_state("p cnf 3 2\n3 -1 2 0\n-1 2 0\n")
-    (key, codes), _ = state._ids.items()
+    (key, codes), _ = state._index().items()
     assert state._literals(codes) == (3, -1, 2) and key == tuple(sorted(codes))
     assert state.clause_counts() == {(-1, 2, 3): 1, (-1, 2): 1}
     assert state.apply_delete([2, 3, -1], 1) is None

@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,16 @@ from dratcheck import checker, model
 from dratcheck.cli import main
 from dratcheck.proofio import parse_plain_proof, serialize_binary
 
-from conftest import CONVERSION_BINARY, CONVERSION_PLAIN, PAPER_FORMULA, PAPER_PROOF
+from conftest import (
+    CONVERSION_BINARY,
+    CONVERSION_PLAIN,
+    PAPER_CLAUSES,
+    PAPER_FORMULA,
+    PAPER_PROOF,
+    canonical,
+    refutation_steps,
+    write_dimacs,
+)
 
 
 @pytest.fixture
@@ -195,10 +205,49 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     (state,) = states
     assert type(state) is checker.CheckerState and len(state._values) == 600
     memo = {id(code) for code in state._code.values()}
-    held = [code for key in state._ids for code in key]
-    held += [code for codes in state._ids.values() for code in codes]
-    assert len(held) == 2 * (3 * len(state._ids) - 2)
+    ids = state._index()
+    held = [code for key in ids for code in key]
+    held += [code for codes in ids.values() for code in codes]
+    assert len(held) == 2 * (3 * len(ids) - 2)
     assert all(id(code) in memo for code in held)
+
+
+def test_a_check_that_never_deletes_builds_no_deletion_index(tmp_path, monkeypatch, capsys):
+    # an AT-only refutation of a formula holding a clause twice and once permuted
+    clauses = [*PAPER_CLAUSES, PAPER_CLAUSES[2], PAPER_CLAUSES[2][::-1]]
+    lemmas = refutation_steps(clauses)
+    assert lemmas[-1] == ()
+    formula = tmp_path / "formula.cnf"
+    formula.write_text(write_dimacs(clauses))
+    states = []
+    check_records = checker.check_records
+
+    def capture(state, records, trace=None):
+        states.append(state)
+        return check_records(state, records, trace)
+
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "check_records", capture)
+    monkeypatch.setattr(checker, "sorted", counting_sorted, raising=False)
+    lines = [" ".join(map(str, (*lemma, 0))) for lemma in lemmas]
+    proof = tmp_path / "proof.drat"
+    proof.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(formula), str(proof)]) == 0
+    assert states[-1]._ids == {} and sorts == []
+    assert len(states[-1]._pending) == len(clauses) + len(lemmas) - 1
+
+    # one deletion of a copy keys every clause
+    proof.write_text("\n".join(lines[:1] + ["d %s 0" % " ".join(map(str, PAPER_CLAUSES[2]))] + lines[1:]) + "\n")
+    assert main(["check", str(formula), str(proof)]) == 0
+    assert len(states[-1]._ids) == len(PAPER_CLAUSES) + 1
+    counts = Counter(map(canonical, [*clauses, *lemmas]))
+    counts[canonical(PAPER_CLAUSES[2])] -= 1
+    assert states[-1].clause_counts() == counts
 
 
 def test_check_missing_file_exits_2(tmp_path, capsys):
