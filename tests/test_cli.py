@@ -1,8 +1,8 @@
 import gc
 import random
-from collections import Counter
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -212,7 +212,7 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     assert all(id(code) in memo for code in held)
 
 
-def test_a_check_that_never_deletes_builds_no_deletion_index(tmp_path, monkeypatch, capsys):
+def test_a_check_that_never_deletes_builds_no_deletion_index(tmp_path, monkeypatch):
     # an AT-only refutation of a formula holding a clause twice and once permuted
     clauses = [*PAPER_CLAUSES, PAPER_CLAUSES[2], PAPER_CLAUSES[2][::-1]]
     lemmas = refutation_steps(clauses)
