@@ -85,11 +85,11 @@ class CheckerState:
             self._occurs += ([], [])
         return self._code[lit]
 
-    def _codes(self, literals) -> list[int]:
-        return [*map(self._code.__getitem__, literals)]
-
     def _literals(self, codes) -> tuple[int, ...]:
         return tuple(map(self._literal.__getitem__, codes))
+
+    def _sorted_literals(self, codes) -> tuple[int, ...]:
+        return tuple(sorted(self._literals(codes), key=abs))
 
     def load(self, clauses) -> None:
         """Add one copy of each clause, a duplicate-free literal sequence; duplicate
@@ -260,15 +260,18 @@ class CheckerState:
 
     def check_at(self, literals, _keep: bool = False) -> bool:
         """Does propagating the clause's negation on top of the trail yield a
-        conflict? With _keep, a fixpoint without conflict stays on the trail."""
-        return self._conflict([code ^ 1 for code in self._codes(literals)], _keep)
+        conflict? With _keep, a fixpoint without conflict stays on the trail.
+        Literals whose negation the trail already holds may be left out."""
+        code_of = self._code.__getitem__
+        return self._conflict([code_of(-lit) for lit in literals], _keep)
 
     def check_rat(self, literals):
         """AT check of the literals as written, then resolvents on the first one.
 
-        A resolvent holds the lemma, so its check propagates on top of the
-        lemma's fixpoint. Returns (ok, pivot, failed_resolvent): pivot and
-        failed_resolvent are None unless the resolvent stage ran and failed.
+        A resolvent holds the lemma, whose fixpoint stays on the trail, so its
+        check asserts only the candidate's extra literals; it is written out,
+        sorted by variable, only for a trace or a failure. Returns (ok, pivot,
+        failed_resolvent), the last two None unless the resolvent stage failed.
         """
         if self.check_at(literals, _keep=True):
             self._note("AT check passed for %s", literals)
@@ -276,18 +279,21 @@ class CheckerState:
         try:
             pivot = literals[0]
             self._note("AT failed for %s; RAT check with pivot %d", literals, pivot)
-            own = set(literals)
-            for codes in self._occurrences()[self._code[-pivot]]:
-                other = tuple(sorted(self._literals(codes), key=abs))
-                rest = [lit for lit in other if lit != -pivot]
-                if any(-lit in own for lit in rest):
-                    self._note("resolvent with %s is a tautology, trivially redundant", other)
+            code_of, literal = self._code.__getitem__, self._literal
+            own, negated = {*map(code_of, literals)}, code_of(-pivot)
+            for codes in self._occurrences()[negated]:
+                if any(code ^ 1 in own for code in codes if code != negated):
+                    if self.trace is not None:
+                        other = self._sorted_literals(codes)
+                        self._note("resolvent with %s is a tautology, trivially redundant", other)
                     continue
-                resolvent = (*literals, *(lit for lit in rest if lit not in own))
-                if self.check_at(resolvent):
-                    self._note("resolvent %s (with %s): AT passed", resolvent, other)
-                else:
-                    self._note("resolvent %s (with %s): AT failed", resolvent, other)
+                passed = self.check_at([literal[code] for code in codes if code != negated and code not in own])
+                if passed and self.trace is None:
+                    continue
+                other = self._sorted_literals(codes)
+                resolvent = (*literals, *(lit for lit in other if lit != -pivot and lit not in literals))
+                self._note("resolvent %s (with %s): AT %s", resolvent, other, "passed" if passed else "failed")
+                if not passed:
                     return False, pivot, resolvent
             return True, pivot, None
         finally:
@@ -336,9 +342,7 @@ class CheckerState:
     def clause_counts(self) -> dict[tuple[int, ...], int]:
         """Copies of each clause, its literals sorted by variable."""
         extra = self._surplus.get
-        counts = {
-            tuple(sorted(self._literals(codes), key=abs)): 1 + extra(id(codes), 0) for codes in self._index().values()
-        }
+        counts = {self._sorted_literals(codes): 1 + extra(id(codes), 0) for codes in self._index().values()}
         return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:

@@ -578,6 +578,62 @@ def test_rat_entries_with_several_resolvents_agree_with_the_slow_path_replay():
     assert several >= 200 and later_rejections >= 20, (several, later_rejections)
 
 
+def test_check_at_runs_once_per_lemma_and_once_per_resolvent_check(monkeypatch):
+    # the benchmark's traced run wraps check_at by name and reads
+    # at_calls = steps_add + resolvent_checks; a RAT stage that propagated
+    # without check_at would still give every verdict and trace line
+    calls = []
+    original = CheckerState.check_at
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckerState, "check_at", counted)
+    rng = random.Random(61)
+    resolvents = 0
+    for _ in range(300):
+        clauses, steps = rat_replay_case(rng)
+        state = loaded(clauses)
+        for number, (kind, lits) in enumerate(steps, start=1):
+            trace = []
+            state.trace = trace.append
+            before = len(calls)
+            rejection = state.apply_delete(lits, number) if kind == "d" else state.apply_add(lits, number)
+            checks = sum(line.startswith("resolvent (") for line in trace)
+            assert len(calls) - before == (kind == "a") + checks, (clauses, steps, number)
+            resolvents += checks
+            if kind == "a" and rejection is not None:
+                break
+    assert resolvents >= 500, resolvents
+
+
+def test_an_untraced_rat_stage_sorts_only_a_failing_resolvent(monkeypatch):
+    sorted_for = []
+    original = CheckerState._sorted_literals
+
+    def recorded(self, codes):
+        sorted_for.append(original(self, codes))
+        return sorted_for[-1]
+
+    monkeypatch.setattr(CheckerState, "_sorted_literals", recorded)
+    rng = random.Random(67)
+    rejections = 0
+    for _ in range(300):
+        clauses, steps = rat_replay_case(rng)
+        proof = [(kind == "d", list(lits)) for kind, lits in steps]
+        del sorted_for[:]
+        report = check_proof(clauses, proof)
+        if report.failed_resolvent is None:
+            assert sorted_for == [], (clauses, steps)
+        else:
+            # the failing candidate, and the resolvent written from it
+            (other,) = sorted_for
+            assert set(report.failed_resolvent) == set(report.clause) | set(other) - {-report.pivot}
+            rejections += 1
+    assert rejections >= 50, rejections
+
+
 def test_binary_heavy_proofs_agree_with_the_slow_path_replay():
     rng = random.Random(97)
     paths = ("one of several copies deleted", "last copy deleted and added again",
