@@ -622,7 +622,7 @@ def test_an_untraced_rat_stage_sorts_only_a_failing_resolvent(monkeypatch):
     for _ in range(300):
         clauses, steps = rat_replay_case(rng)
         proof = [(kind == "d", list(lits)) for kind, lits in steps]
-        del sorted_for[:]
+        sorted_for.clear()
         report = check_proof(clauses, proof)
         if report.failed_resolvent is None:
             assert sorted_for == [], (clauses, steps)
