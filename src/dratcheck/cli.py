@@ -7,23 +7,30 @@ Every diagnostic line starts with "c " so DIMACS-style tooling can filter it.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 
 from . import proofio
+from .lexer import BLOCK_BYTES
 from .model import REJECTED, WARN_UNIT_DELETION, format_clause
 
+_READERS = {proofio.PLAIN: proofio.plain_records, proofio.BINARY: proofio.binary_records}
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+
+class _Counted(io.FileIO):
+    """A file that counts the bytes read from it, since a pipe cannot tell its position."""
+
+    size = 0
+
+    def readinto(self, buffer):
+        self.size += (got := super().readinto(buffer))
+        return got
 
 
 def _open_proof(path: str, encoding: str | None):
-    """(reader, data, encoding): reader(data) yields the proof's records."""
-    data = _read(path)
-    if encoding is None:
-        encoding = proofio.detect_encoding(data)
-    reader = proofio.binary_records if encoding == proofio.BINARY else proofio.plain_records
-    return reader, data, encoding
+    """(file, encoding): the proof file, open, and the given encoding or the one detected from its first block."""
+    handle = io.BufferedReader(_Counted(path), BLOCK_BYTES)
+    return handle, encoding or proofio.detect_encoding(handle.peek(BLOCK_BYTES))
 
 
 def run_check(args) -> int:
@@ -32,21 +39,24 @@ def run_check(args) -> int:
 
     quiet = args.verbosity < 0
     try:
-        # the clauses go into the checker's store as they are read: no list of them is built
+        # the clauses go into the checker's store as they are read, block by block: no list of them is built
         state = checker.CheckerState()
-        state.load(dimacs.clause_records(_read(args.formula)))
+        with open(args.formula, "rb") as handle:
+            state.load(dimacs.clause_records(handle))
     except (OSError, dimacs.DimacsError) as exc:
         print("c error: %s: %s" % (args.formula, exc))
         return 2
     try:
-        reader, data, encoding = _open_proof(args.proof, args.encoding)
-        trace = None
-        if args.verbosity > 0:
-            # the first line needs the step count, and no trace may precede a
-            # parse error: a first pass counts the steps and holds none of them
-            print("c parsed %s proof with %d steps" % (encoding, sum(1 for _ in reader(data))))
-            trace = lambda message: print("c " + message)
-        report = checker.check_records(state, reader(data), trace=trace)
+        handle, encoding = _open_proof(args.proof, args.encoding)
+        with handle:
+            trace = None
+            if args.verbosity > 0:
+                # the first line needs the step count, and no trace may precede a parse error:
+                # a first pass over the file counts the steps and holds none of them
+                print("c parsed %s proof with %d steps" % (encoding, sum(1 for _ in _READERS[encoding](handle))))
+                handle.seek(0)
+                trace = lambda message: print("c " + message)
+            report = checker.check_records(state, _READERS[encoding](handle), trace=trace)
     except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2
@@ -76,40 +86,37 @@ def run_check(args) -> int:
 
 
 def run_convert(args) -> int:
-    target = args.to
+    """Convert the proof block by block into a temporary file beside the output, made once the proof is open,
+    which replaces the output after the last record: a parse error leaves an existing output as it was. A
+    device or pipe cannot be replaced, and is written in place."""
+    output = os.path.realpath(args.output)
+    special = os.path.exists(output) and not os.path.isfile(output)
+    temp = output if special else "%s.%d.tmp" % (output, os.getpid())
+    made, written = False, []  # bytes per write: a pipe cannot tell its position either
     try:
-        reader, data, encoding = _open_proof(args.proof, args.encoding)
-        # the whole input is read before the output is opened, so a parse error leaves it untouched
-        converted = proofio.write_records(reader(data), target)
+        source, encoding = _open_proof(args.proof, args.encoding)
+        with source, open(temp, "wb") as sink:
+            made = not special
+            write = lambda block: written.append(sink.write(block))
+            write(proofio.write_records(_READERS[encoding](source), args.to, write))
+        if made:
+            os.replace(temp, output)
     except (OSError, proofio.ProofError) as exc:
-        print("c error: %s: %s" % (args.proof, exc))
+        # an OSError naming no file comes from a read or a write mid-conversion, most likely a full disk
+        named = isinstance(exc, proofio.ProofError) or exc.filename == args.proof
+        print("c error: %s: %s" % (args.proof if named else args.output, exc))
+        if made:
+            os.remove(temp)
         return 2
-    try:
-        with open(args.output, "wb") as handle:
-            handle.write(converted)
-    except OSError as exc:
-        print("c error: %s: %s" % (args.output, exc))
-        return 2
-    print("c read %d bytes (%s), wrote %d bytes (%s)" % (len(data), encoding, len(converted), target))
+    print("c read %d bytes (%s), wrote %d bytes (%s)" % (source.raw.size, encoding, sum(written), args.to))
     return 0
 
 
 def _add_encoding_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--plain",
-        dest="encoding",
-        action="store_const",
-        const=proofio.PLAIN,
-        help="force plain-text proof parsing",
-    )
-    group.add_argument(
-        "--binary",
-        dest="encoding",
-        action="store_const",
-        const=proofio.BINARY,
-        help="force binary proof parsing",
-    )
+    for encoding, name in ((proofio.PLAIN, "plain-text"), (proofio.BINARY, "binary")):
+        group.add_argument("--" + encoding, dest="encoding", action="store_const", const=encoding,
+                           help="force %s proof parsing" % name)
     parser.set_defaults(encoding=None)
 
 

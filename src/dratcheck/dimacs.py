@@ -16,8 +16,8 @@ _HEADER = re.compile(rb"[ \t]*p[ \t]+cnf[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]*")
 
 
 def _parse_header(reader: Lines):
-    """Return (var_max, num_cls, position of the line after the header)."""
-    for pos, line in reader.lines():
+    """Read up to the header line and return (var_max, num_cls)."""
+    for where, line in reader.lines():
         if line[:1] == b"c" or not line.strip(b" \t"):
             continue
         match = _HEADER.fullmatch(line)
@@ -25,17 +25,17 @@ def _parse_header(reader: Lines):
             var_max, num_cls = int(match[1]), int(match[2])
         except (TypeError, ValueError):  # no match, or too many digits for int()
             if not re.match(rb"[ \t]*p(?:[ \t]|$)", line):
-                raise reader.located("expected 'p cnf' header before clauses", (pos, None))
+                raise reader.located("expected 'p cnf' header before clauses", where)
             message = "malformed header %r" % line.decode("latin-1").strip()
-            raise reader.located(message, (pos, None)) from None
+            raise reader.located(message, where) from None
         if var_max > MAX_LITERAL:
-            raise reader.located("variable count %d exceeds 2^31 - 1" % var_max, (pos, None))
-        return var_max, num_cls, pos + len(line) + 1
+            raise reader.located("variable count %d exceeds 2^31 - 1" % var_max, where)
+        return var_max, num_cls
     raise DimacsError("no 'p cnf' header found")
 
 
 def clause_records(data):
-    """Yield each clause copy of a DIMACS CNF formula as its list of literals, in written order.
+    """Yield each clause copy of a DIMACS formula (bytes or a binary file) as its literal list, in written order.
 
     Comment lines are skipped anywhere; blanks are space, tab, newline and a
     carriage return before a newline, so a clause may span lines and several
@@ -43,9 +43,9 @@ def clause_records(data):
     header's clause count is checked last.
     """
     reader = Lines(data, DimacsError)
-    var_max, num_cls, body = _parse_header(reader)
+    var_max, num_cls = _parse_header(reader)
     found = 0
-    for _, lits in reader.clauses(body, var_max):
+    for _, lits in reader.clauses(var_max):
         found += 1
         yield lits
     if reader.unterminated is not None:

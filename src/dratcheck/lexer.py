@@ -1,100 +1,117 @@
 """Byte-level tokenizer shared by the DIMACS and plain DRAT readers.
 
-The input is cut into lines at ``\\n`` only; a ``\\r`` directly before it
-belongs to the line break. Lines that start with ``c`` are comments. On
-every other line the blanks are exactly space and tab, and any other byte
-belongs to a token. Blocks of whole lines are checked and converted with
-C-level bytes operations; a line number and byte offset is worked out only
-when an error is raised, by scanning lines for the offending token.
+The input is read from a binary file in blocks of whole lines, cut at ``\\n`` only; a
+``\\r`` directly before it belongs to the line break. Lines that start with ``c`` are
+comments. On every other line the blanks are exactly space and tab, and any other byte
+belongs to a token. Each block is checked and converted with C-level bytes operations;
+a line number and byte offset is worked out only for an error, from the block that holds it.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import re
 
 from .model import MAX_LITERAL, repeated_variable
 
-BLOCK_BYTES = 1 << 14  # a block ends at the first line end after this many bytes
+BLOCK_BYTES = 1 << 14  # a block is this many bytes read, and the rest of its last line
 _TOKEN = re.compile(rb"[^ \t]+")
 _LITERAL = re.compile(rb"-?[1-9][0-9]{0,9}|0")  # longer literals overflow
 _DIGITS = b"-0123456789"
 
 
-class Lines:
-    """An input buffer cut into lines, raising errors of the given class.
+def binary_file(data):
+    """data if it is a binary file, else an io.BytesIO over its bytes (a str in UTF-8), sharing a bytes buffer."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    return data if hasattr(data, "read") else io.BytesIO(data)
 
-    Positions refer to the text with each ``\\r\\n`` made ``\\n``. A token is
-    located by ``where`` = (position of a line start, n): the n-th token
-    counted from there across the non-comment lines.
+
+def _blocks(source):
+    """Yield (byte offset, line number, bytes, text) for each block of whole lines read from source."""
+    offset = number = 0
+    while data := source.read(BLOCK_BYTES):
+        data += source.readline()  # the rest of the last line, so that a block is whole lines
+        yield offset, number, data, data.replace(b"\r\n", b"\n")
+        offset, number = offset + len(data), number + data.count(b"\n")
+
+
+def _lines(text, pos):
+    """Yield (position, line) for each line of text from the line starting at pos."""
+    while pos < len(text):
+        end = text.find(b"\n", pos)
+        end = len(text) if end < 0 else end
+        yield pos, text[pos:end]
+        pos = end + 1
+
+
+class Lines:
+    """The lines of a binary file, or of bytes, read in blocks, raising errors of the given class.
+
+    A block is (byte offset, line number, bytes, text) of whole lines, its text with each
+    ``\\r\\n`` made ``\\n``; positions refer to the text. A token is located by ``where`` =
+    (block, position of a line start, n): the n-th token from there on the block's non-comment lines.
     """
 
     def __init__(self, data, error):
-        if isinstance(data, str):
-            data = data.encode("utf-8", "surrogatepass")
-        self.data = data
-        self.text = data.replace(b"\r\n", b"\n")
+        self.blocks = _blocks(binary_file(data))
         self.error = error
+        self.rest = []  # (block, position) just after the last line that lines() yielded
         self.unterminated = None  # where the clause open at the end began
 
-    def lines(self, pos: int = 0):
-        """Yield (position, line) for each line from the line starting at pos."""
-        text = self.text
-        while pos < len(text):
-            end = text.find(b"\n", pos)
-            end = len(text) if end < 0 else end
-            yield pos, text[pos:end]
-            pos = end + 1
+    def lines(self):
+        """Yield (where of the line start, line) for each line; clauses() reads on after the last one yielded."""
+        for block in self.blocks:
+            for pos, line in _lines(block[3], 0):
+                self.rest = [(block, pos + len(line) + 1)]
+                yield (block, pos, None), line
 
     def located(self, message, where):
         """The reader's error(message) at where; a token number of None means the line start."""
-        pos, token = where
+        (offset, number, data, text), pos, token = where
         column = 0
         if token is not None:
-            for pos, line in self.lines(pos):
+            for pos, line in _lines(text, pos):
                 starts = [] if line[:1] == b"c" else [m.start() for m in _TOKEN.finditer(line)]
                 if token < len(starts):
                     column = starts[token]
                     break
                 token -= len(starts)
-        number = self.text.count(b"\n", 0, pos)
-        start = 0
-        for _ in range(number):
-            start = self.data.index(b"\n", start) + 1
-        return self.error(message, number + 1, start + column)
+        lines = text.count(b"\n", 0, pos)
+        start = sum(map(len, data.split(b"\n", lines)[:lines])) + lines  # the line's start in data
+        return self.error(message, number + lines + 1, offset + start + column)
 
-    def clauses(self, pos: int = 0, limit: int = MAX_LITERAL, deletes: bool = False):
+    def clauses(self, limit: int = MAX_LITERAL, deletes: bool = False):
         """Yield (delete, literals) for each clause ended by a 0 token.
 
-        Reading starts at the line starting at pos. Errors, a literal whose
-        variable is above limit among them, are raised in input order. A
-        repeated variable is located at the clause's first token, which is
-        its ``d`` prefix if deletes allows one. A clause left open at the
-        end of the input is not yielded: its location is kept in
-        ``unterminated``.
+        Reading goes on from the first line not read yet, block by block.
+        Errors, a literal whose variable is above limit among them, are
+        raised in input order. A repeated variable is located at the
+        clause's first token, which is its ``d`` prefix if deletes allows
+        one. A clause left open at the end of the input is not yielded: its
+        location is kept in ``unterminated``.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
         delete = False
         where = None
-        text = self.text
-        while pos < len(text):
-            first = pos
-            pos = text.find(b"\n", pos + BLOCK_BYTES) + 1 or len(text)
-            block = b" ".join([line for line in text[first:pos].split(b"\n") if line[:1] != b"c"])
-            if block.translate(None, allowed):
-                tokens, clean = _TOKEN.findall(block), False
+        for block, first in itertools.chain(self.rest, ((block, 0) for block in self.blocks)):
+            joined = b" ".join([line for line in block[3][first:].split(b"\n") if line[:1] != b"c"])
+            if joined.translate(None, allowed):
+                tokens, clean = _TOKEN.findall(joined), False
             else:
-                tokens = block.split()
+                tokens = joined.split()
                 # no "-0" and no token with a leading zero other than "0" itself
-                clean = b"-0" not in block and tokens.count(b"0") == (
-                    block.count(b" 0") + block.count(b"\t0") + block.startswith(b"0")
+                clean = b"-0" not in joined and tokens.count(b"0") == (
+                    joined.count(b" 0") + joined.count(b"\t0") + joined.startswith(b"0")
                 )
             at = 0
             while at < len(tokens):
                 if deletes and tokens[at] == b"d":
                     if pending or delete:
-                        raise self._bad_token(b"d", (first, at), limit, deletes)
-                    delete, where = True, (first, at)
+                        raise self._bad_token(b"d", (block, first, at), limit, deletes)
+                    delete, where = True, (block, first, at)
                     at += 1
                     continue
                 end = len(tokens)
@@ -119,7 +136,7 @@ class Lines:
                 done = 0
                 while done < len(values):
                     if not pending and not delete:
-                        where = (first, at + done)
+                        where = (block, first, at + done)
                     try:
                         zero = values.index(0, done)
                     except ValueError:
@@ -131,8 +148,9 @@ class Lines:
                     yield delete, lits
                     pending, delete, done = [], False, zero + 1
                 if bad is not None:
-                    raise self._bad_token(run[bad], (first, at + bad), limit, deletes)
+                    raise self._bad_token(run[bad], (block, first, at + bad), limit, deletes)
                 at = end
+            tokens = run = None  # this block's tokens go before the next block is read
         self.unterminated = where if pending or delete else None
 
     def _bad_token(self, token, where, limit, deletes):

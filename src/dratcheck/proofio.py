@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .model import MAX_LITERAL, LocatedError, Memo, check_literal, checked_records, repeated_variable
-from .lexer import Lines
+from .lexer import BLOCK_BYTES, Lines, binary_file
 
 PLAIN = "plain"
 BINARY = "binary"
@@ -16,7 +16,7 @@ MAX_CODE = 2 * MAX_LITERAL + 1
 
 
 class ProofError(LocatedError):
-    """Invalid DRAT input; line/offset refer to the input buffer, and the message names the kind."""
+    """Invalid DRAT input; line/offset refer to the input, and the message names the kind."""
 
 
 def map_literal(lit: int) -> int:
@@ -66,9 +66,9 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
 
 
 def plain_records(data):
-    """Yield (delete, literals) for each step of a plain-text proof once it has passed every check."""
+    """Yield (delete, literals) per step of a plain proof (bytes or a binary file) that passed every check."""
     reader = Lines(data, ProofError)
-    yield from reader.clauses(0, deletes=True)
+    yield from reader.clauses(deletes=True)
     if reader.unterminated is not None:
         raise reader.located("end of input inside a proof step (missing terminating 0)", reader.unterminated)
 
@@ -77,41 +77,50 @@ def plain_records(data):
 # five bytes and may end in a zero byte only after a continuation byte.
 _RECORD = re.compile(rb"([ad])((?:[\x80-\xff]{1,4}[\x00-\x7f]|[\x01-\x7f])*)\x00")
 _VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
+_END = re.compile(rb"[\x00-\x7f]\x00")  # a record, valid or not, ends at its first zero byte after one below 0x80
 
 
-def binary_records(data: bytes):
-    """Yield (delete, literals) for each record of a binary proof once it has passed every check."""
+def binary_records(data):
+    """Yield (delete, literals) per record of a binary proof (bytes or a binary file) that passed every check."""
     literal = Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
-    pos = 0
-    while pos < len(data):
+    source = binary_file(data)
+    buffer, base = b"", 0  # the bytes after the last whole record read, and their offset
+    # a record longer than a read makes the next read as long, so that each byte is copied O(1) times
+    while chunk := source.read(max(BLOCK_BYTES, len(buffer))):
+        buffer, pos = buffer + chunk, 0
+        if buffer[:1] in b"ad" and not _END.search(buffer):  # a failed match would take memory in its length
+            continue
         # match at pos only: a search would retry at every later 'a'/'d' byte before failing
-        record = _RECORD.match(data, pos)
-        if record is None:
-            _raise_record_error(data, pos)
-        try:
-            lits = [*map(literal, _VARINT.findall(record[2]))]
-        except ProofError:
-            _raise_record_error(data, pos)
-        if len(set(map(abs, lits))) != len(lits):
-            raise ProofError(repeated_variable(lits), offset=pos)
-        yield record[1] == b"d", lits
-        pos = record.end()
+        while record := _RECORD.match(buffer, pos):
+            try:
+                lits = [*map(literal, _VARINT.findall(record[2]))]
+            except ProofError:
+                _raise_record_error(buffer, pos, base)
+            if len(set(map(abs, lits))) != len(lits):
+                raise ProofError(repeated_variable(lits), offset=base + pos)
+            yield record[1] == b"d", lits
+            pos = record.end()
+        if buffer[pos : pos + 1] not in b"ad" or _END.search(buffer, pos):  # no read can complete this record
+            _raise_record_error(buffer, pos, base)
+        buffer, base = buffer[pos:], base + pos
+    if buffer:
+        _raise_record_error(buffer, 0, base)
 
 
-def _raise_record_error(data, start: int):
-    """Decode the record at start, which holds an error, byte by byte and raise its first error."""
+def _raise_record_error(data, start: int, base: int):
+    """Raise the first error of the record at start, decoding it byte by byte; data starts at offset base."""
     if data[start] not in b"ad":
-        raise ProofError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=start)
+        raise ProofError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=base + start)
     pos = start + 1
     while pos < len(data) and data[pos]:
-        code, consumed = decode_varint(data, pos)
         try:
+            code, consumed = decode_varint(data, pos)
             unmap_literal(code)
         except ProofError as exc:
-            exc.offset = pos
+            exc.offset = base + pos
             raise
         pos += consumed
-    raise ProofError("input ends inside a record (missing zero byte)", offset=start)
+    raise ProofError("input ends inside a record (missing zero byte)", offset=base + start)
 
 
 def parse_plain_proof(data) -> list:
@@ -124,8 +133,9 @@ def parse_binary_proof(data: bytes) -> list:
     return list(binary_records(data))
 
 
-def write_records(records, encoding: str) -> bytearray:
-    """(delete, literals) records in the encoding; plain text has one step per line, single spaces."""
+def write_records(records, encoding: str, write=None) -> bytearray:
+    """(delete, literals) records in the encoding, plain text one step per line with single spaces; given
+    write, each run of whole records that reaches BLOCK_BYTES is passed to it, and only the rest returned."""
     if encoding == BINARY:
         literal = Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
         add, delete, end = b"a", b"d", b"\x00"
@@ -136,6 +146,9 @@ def write_records(records, encoding: str) -> bytearray:
     for deleted, lits in records:
         # one join per record: joining the whole proof at once costs a buffer per literal
         out += (delete if deleted else add) + b"".join(map(literal, lits)) + end
+        if write and len(out) >= BLOCK_BYTES:
+            write(out)
+            out = bytearray()
     return out
 
 
@@ -153,13 +166,15 @@ _BLANKS = re.compile(rb"[ \t\n\r]*")
 
 
 def detect_encoding(data: bytes) -> str:
-    """Guess PLAIN or BINARY from the buffer content.
+    """Guess PLAIN or BINARY from the first BLOCK_BYTES bytes of data.
 
     Binary proofs start with an 'a'/'d' record prefix, but those bytes are
-    also ordinary text, so binary is assumed only when the buffer also holds
-    a zero byte: every binary record ends in one, and no plain step can.
+    also ordinary text, so binary is assumed only when the prefix also holds
+    a zero byte outside a line that starts with 'c': every binary record
+    ends in one, and a plain proof may hold one only in a comment line.
     """
-    start = _BLANKS.match(data).end()
-    if data[start : start + 1] in (b"a", b"d") and b"\x00" in data:
+    start = _BLANKS.match(data, 0, BLOCK_BYTES).end()
+    lines = data[:BLOCK_BYTES].split(b"\n")
+    if data[start : start + 1] in (b"a", b"d") and any(b"\x00" in line and line[:1] != b"c" for line in lines):
         return BINARY
     return PLAIN

@@ -319,6 +319,59 @@ def test_failed_convert_leaves_an_existing_output_unchanged(tmp_path, capsys, ta
     assert main(["convert", str(src), "--to", target, "-o", str(dst)]) == 2
     assert capsys.readouterr().out == "c error: %s: %s\n" % (src, error)
     assert dst.read_bytes() == b"earlier output\x00\n"
+    # the records converted before the error went to a temporary file, which is gone
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.proof", "out.proof"]
+
+
+def test_a_converted_output_replaces_the_old_one_and_leaves_no_temporary_file(tmp_path, capsys):
+    src, dst = tmp_path / "proof.drat", tmp_path / "out.bdrat"
+    src.write_bytes(CONVERSION_PLAIN)
+    dst.write_bytes(b"earlier output, longer than the new one")
+    assert main(["convert", str(src), "--to", "binary", "-o", str(dst)]) == 0
+    assert dst.read_bytes() == CONVERSION_BINARY
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.bdrat", "proof.drat"]
+
+
+@pytest.mark.parametrize("directory", ["missing", "a-file"])
+def test_an_output_that_cannot_be_written_exits_2_naming_the_output(tmp_path, capsys, directory):
+    src = tmp_path / "proof.drat"
+    src.write_bytes(CONVERSION_PLAIN)
+    (tmp_path / "a-file").write_bytes(b"")
+    dst = tmp_path / directory / "out.bdrat"
+    assert main(["convert", str(src), "--to", "binary", "-o", str(dst)]) == 2
+    assert capsys.readouterr().out.startswith("c error: %s: " % dst)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a-file", "proof.drat"]
+
+
+def test_an_output_that_cannot_be_written_is_reported_before_a_parse_error(tmp_path, capsys):
+    # the temporary file is made once the proof is open, before any record is read
+    src = tmp_path / "bad.drat"
+    src.write_bytes(CONVERSION_PLAIN + b"1 x 0\n")
+    dst = tmp_path / "missing" / "out.bdrat"
+    assert main(["convert", str(src), "--to", "binary", "-o", str(dst)]) == 2
+    assert capsys.readouterr().out.startswith("c error: %s: " % dst)
+    # a proof that cannot be opened is still reported first
+    assert main(["convert", str(tmp_path / "nope.drat"), "--to", "binary", "-o", str(dst)]) == 2
+    assert capsys.readouterr().out.startswith("c error: %s: " % (tmp_path / "nope.drat"))
+
+
+def test_convert_writes_a_pipe_in_place(tmp_path, capsys):
+    import os
+    import stat
+    import threading
+
+    src, pipe = tmp_path / "proof.drat", tmp_path / "pipe"
+    src.write_bytes(CONVERSION_PLAIN)
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["convert", str(src), "--to", "binary", "-o", str(pipe)]) == 0
+    finally:
+        reader.join(10)
+    assert not reader.is_alive() and received == [CONVERSION_BINARY] and stat.S_ISFIFO(pipe.stat().st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe", "proof.drat"]
 
 
 @pytest.mark.parametrize("source,target", [("plain", "binary"), ("binary", "plain")])
@@ -408,6 +461,81 @@ def test_a_plain_proof_starting_with_d_and_holding_no_zero_byte_is_read_as_plain
     assert main(["convert", str(proof), "--to", "binary", "-o", str(output)]) == 0
     assert capsys.readouterr().out == "c read 18 bytes (plain), wrote 6 bytes (binary)\n"
     assert output.read_bytes() == b"d\x02\x04\x00a\x00"
+
+
+@pytest.mark.parametrize("command", ["check", "convert"])
+def test_a_proof_is_read_from_a_pipe_once(paper_files, tmp_path, capsys, command):
+    # detection peeks at the first block, so a pipe such as a process substitution is read once
+    import os
+    import threading
+
+    formula, _ = paper_files
+    pipe, output = tmp_path / "pipe", tmp_path / "out.bdrat"
+    os.mkfifo(pipe)
+    data = CONVERSION_BINARY if command == "convert" else serialize_binary(parse_plain_proof(PAPER_PROOF))
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        if command == "check":
+            assert main(["check", "-q", str(formula), str(pipe)]) == 0
+            assert capsys.readouterr().out == "s VERIFIED\n"
+        else:
+            assert main(["convert", str(pipe), "--to", "plain", "-o", str(output)]) == 0
+            assert capsys.readouterr().out == "c read 12 bytes (binary), wrote 26 bytes (plain)\n"
+            assert output.read_bytes() == CONVERSION_PLAIN
+    finally:
+        writer.join(10)
+    assert not writer.is_alive()
+
+
+def test_a_plain_proof_starting_with_d_and_holding_a_zero_byte_in_a_comment_is_read_as_plain(tmp_path, capsys):
+    # a zero byte counts for binary only outside a line that starts with 'c'
+    formula, proof, output = tmp_path / "formula.cnf", tmp_path / "proof.drat", tmp_path / "proof.bdrat"
+    formula.write_bytes(b"p cnf 2 3\n1 2 0\n1 0\n-1 0\n")
+    proof.write_bytes(b"d 1 2 0\nc \x00\n0\n")
+    assert main(["check", str(formula), str(proof)]) == 0
+    assert capsys.readouterr().out == "s VERIFIED\n"
+    assert main(["convert", str(proof), "--to", "binary", "-o", str(output)]) == 0
+    assert capsys.readouterr().out == "c read 14 bytes (plain), wrote 6 bytes (binary)\n"
+    assert output.read_bytes() == b"d\x02\x04\x00a\x00"
+
+
+@pytest.fixture(scope="module")
+def seed_7_workloads(tmp_path_factory):
+    """The files of seed 7 of every benchmark generator, written by its own encoders."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    root = tmp_path_factory.mktemp("seed-7")
+    return {name: workloads.write_files(workloads.generate(name, 7), str(root / name)) for name in workloads.WORKLOADS}
+
+
+# the line convert printed for each generator's seed 7 while it read and wrote whole buffers
+SEED_7_CONVERT_LINES = {
+    "dpll-del": (982845, 363772),
+    "dpll-grow": (126068, 50774),
+    "php-rat": (110411, 55445),
+    "wide-formula": (6236, 2792),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_7_CONVERT_LINES))
+def test_convert_reports_the_same_byte_counts_on_seed_7_of_every_generator(seed_7_workloads, tmp_path, capsys, name):
+    files = seed_7_workloads[name]
+    plain, binary = SEED_7_CONVERT_LINES[name]
+    for source, target, line in (
+        ("plain", "binary", "c read %d bytes (plain), wrote %d bytes (binary)\n" % (plain, binary)),
+        ("binary", "plain", "c read %d bytes (binary), wrote %d bytes (plain)\n" % (binary, plain)),
+    ):
+        output = tmp_path / target
+        assert main(["convert", files[source]["path"], "--to", target, "-o", str(output)]) == 0
+        assert capsys.readouterr().out == line
+        # the generators' own encoders wrote the reference bytes
+        assert output.read_bytes() == Path(files[target]["path"]).read_bytes()
 
 
 # The process entry points run without the cyclic collector and freeze the

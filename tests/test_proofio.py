@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dratcheck.dimacs import DimacsError
+from dratcheck.lexer import BLOCK_BYTES
 from dratcheck.model import MAX_LITERAL
 from dratcheck.proofio import (
     BINARY,
@@ -207,6 +208,9 @@ def test_detect_encoding_cases():
     # every binary record ends in a zero byte: without one the input is plain
     assert detect_encoding("d 1 2 0\nc café\n0\n".encode()) == PLAIN
     assert detect_encoding(b"a\x02") == PLAIN
+    # a zero byte counts only outside a line that starts with 'c', where a plain proof cannot hold one
+    assert detect_encoding(b"d 1 2 0\nc \x00\n0\n") == PLAIN
+    assert detect_encoding(b"d 1 2 0\nc \x00\nd\x02\x00") == BINARY
 
 
 def test_detect_encoding_keeps_a_long_plain_proof_starting_with_d_plain():
@@ -224,6 +228,13 @@ def test_detect_encoding_finds_a_late_non_text_byte():
     assert detect_encoding(data) == BINARY
     assert detect_encoding(b" \n" + data) == BINARY
     assert detect_encoding(b"1" + data) == PLAIN
+
+
+def test_detect_encoding_reads_only_the_first_block():
+    # the first zero byte is past the first BLOCK_BYTES bytes
+    data = b"d" + b"da" * (BLOCK_BYTES // 2) + b"\x00"
+    assert detect_encoding(data) == PLAIN
+    assert detect_encoding(data[:BLOCK_BYTES - 1] + b"\x00") == BINARY
 
 
 def test_serialize_binary_peak_memory_stays_small():
