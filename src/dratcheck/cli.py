@@ -51,8 +51,9 @@ def run_check(args) -> int:
         with handle:
             trace = None
             if args.verbosity > 0:
-                # the first line needs the step count, and no trace may precede a parse error:
-                # a first pass over the file counts the steps and holds none of them
+                # the first line needs the step count, and no trace may precede a parse error: a first pass
+                # counts the steps and holds none of them, after a seek that fails at once on a pipe
+                handle.seek(0)
                 print("c parsed %s proof with %d steps" % (encoding, sum(1 for _ in _READERS[encoding](handle))))
                 handle.seek(0)
                 trace = lambda message: print("c " + message)

@@ -73,34 +73,31 @@ def plain_records(data):
         raise reader.located("end of input inside a proof step (missing terminating 0)", reader.unterminated)
 
 
-# A record is its prefix, its varints and a zero byte. A varint has at most
-# five bytes and may end in a zero byte only after a continuation byte.
-_RECORD = re.compile(rb"([ad])((?:[\x80-\xff]{1,4}[\x00-\x7f]|[\x01-\x7f])*)\x00")
 _VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
 _END = re.compile(rb"[\x00-\x7f]\x00")  # a record, valid or not, ends at its first zero byte after one below 0x80
+_CODES = re.compile(rb"[\x02-\x7f]*")  # a run of one-byte varints, each a valid literal code
 
 
 def binary_records(data):
-    """Yield (delete, literals) per record of a binary proof (bytes or a binary file) that passed every check."""
+    """Yield (delete, literals) per checked record, each found by its end, of a binary proof (bytes or a file)."""
     literal = Memo(lambda varint: unmap_literal(decode_varint(varint)[0])).__getitem__
     source = binary_file(data)
     buffer, base = b"", 0  # the bytes after the last whole record read, and their offset
     # a record longer than a read makes the next read as long, so that each byte is copied O(1) times
     while chunk := source.read(max(BLOCK_BYTES, len(buffer))):
         buffer, pos = buffer + chunk, 0
-        if buffer[:1] in b"ad" and not _END.search(buffer):  # a failed match would take memory in its length
-            continue
-        # match at pos only: a search would retry at every later 'a'/'d' byte before failing
-        while record := _RECORD.match(buffer, pos):
+        while end := _END.search(buffer, pos):
+            if buffer[pos] not in b"ad":
+                _raise_record_error(buffer, pos, base)
             try:
-                lits = [*map(literal, _VARINT.findall(record[2]))]
+                lits = [*map(literal, _VARINT.findall(buffer, pos + 1, end.start() + 1))]
             except ProofError:
                 _raise_record_error(buffer, pos, base)
             if len(set(map(abs, lits))) != len(lits):
                 raise ProofError(repeated_variable(lits), offset=base + pos)
-            yield record[1] == b"d", lits
-            pos = record.end()
-        if buffer[pos : pos + 1] not in b"ad" or _END.search(buffer, pos):  # no read can complete this record
+            yield buffer[pos] == 0x64, lits  # 0x64 is 'd'
+            pos = end.end()
+        if buffer[pos : pos + 1] not in b"ad":  # no read can make this a record
             _raise_record_error(buffer, pos, base)
         buffer, base = buffer[pos:], base + pos
     if buffer:
@@ -108,10 +105,11 @@ def binary_records(data):
 
 
 def _raise_record_error(data, start: int, base: int):
-    """Raise the first error of the record at start, decoding it byte by byte; data starts at offset base."""
+    """Raise the first error of the record at start; data starts at offset base. Each run of one-byte varints
+    with valid codes is skipped by one match, and only the varint after it is decoded in Python."""
     if data[start] not in b"ad":
         raise ProofError("record prefix 0x%02x is neither 'a' nor 'd'" % data[start], offset=base + start)
-    pos = start + 1
+    pos = _CODES.match(data, start + 1).end()
     while pos < len(data) and data[pos]:
         try:
             code, consumed = decode_varint(data, pos)
@@ -119,7 +117,7 @@ def _raise_record_error(data, start: int, base: int):
         except ProofError as exc:
             exc.offset = base + pos
             raise
-        pos += consumed
+        pos = _CODES.match(data, pos + consumed).end()
     raise ProofError("input ends inside a record (missing zero byte)", offset=base + start)
 
 

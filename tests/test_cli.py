@@ -488,6 +488,24 @@ def test_a_proof_is_read_from_a_pipe_once(paper_files, tmp_path, capsys, command
     assert not writer.is_alive()
 
 
+def test_check_v_on_a_pipe_fails_before_any_other_line(paper_files, tmp_path, capsys):
+    # -v reads the proof twice, and a pipe cannot be read twice: it fails at once, before the count line
+    import os
+    import threading
+
+    formula, _ = paper_files
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(PAPER_PROOF.encode()), daemon=True)
+    writer.start()
+    try:
+        assert main(["check", "-v", str(formula), str(pipe)]) == 2
+    finally:
+        writer.join(10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out == "c error: %s: File or stream is not seekable.\n" % pipe
+
+
 def test_a_plain_proof_starting_with_d_and_holding_a_zero_byte_in_a_comment_is_read_as_plain(tmp_path, capsys):
     # a zero byte counts for binary only outside a line that starts with 'c'
     formula, proof, output = tmp_path / "formula.cnf", tmp_path / "proof.drat", tmp_path / "proof.bdrat"

@@ -8,14 +8,18 @@ round-trip through the writers. The binary reader gives the same steps
 or the same error as a byte-at-a-time reference decoder.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dratcheck import proofio
 from dratcheck.dimacs import DimacsError, parse_dimacs
 from dratcheck.proofio import ProofError, parse_binary_proof, parse_plain_proof, serialize_plain
 
 from conftest import write_dimacs
 from slowpath import NaiveBinaryError, parse_binary_naive
+from test_streaming import SIZES, sources
 
 # bytes the readers treat specially, and their near misses
 ALPHABET = list(b"0123456789- \t\r\ncdpnf\x00\x0b\x0c\x85\xa0\xb2")
@@ -142,6 +146,16 @@ BINARY_ALPHABET = list(b"ad\x00\x01\x02\x03\x04\x0f\x10\x7f\x80\x81\x82\xfe\xff"
 near_binary = st.lists(st.sampled_from(BINARY_ALPHABET), max_size=40).map(bytes)
 
 
+def _binary_steps(source):
+    """The steps parse_binary_proof reads from source, or the (message, offset) of its error."""
+    try:
+        proof = parse_binary_proof(source)
+    except ProofError as exc:
+        assert type(exc) is ProofError
+        return exc.message, exc.offset
+    return [("d" if delete else "a", tuple(lits)) for delete, lits in proof]
+
+
 @given(st.sampled_from([b"", b"a"]), st.one_of(st.binary(max_size=60), near_binary))
 @settings(max_examples=600)
 def test_binary_reader_matches_the_byte_at_a_time_reference(head, body):
@@ -150,9 +164,8 @@ def test_binary_reader_matches_the_byte_at_a_time_reference(head, body):
         expected = parse_binary_naive(data)
     except NaiveBinaryError as exc:
         expected = (exc.message, exc.offset)
-    try:
-        proof = parse_binary_proof(data)
-    except ProofError as exc:
-        assert type(exc) is ProofError and (exc.message, exc.offset) == expected
-    else:
-        assert [("d" if delete else "a", tuple(lits)) for delete, lits in proof] == expected
+    assert _binary_steps(data) == expected
+    # in blocks and reads so small that records and varints are split across them
+    for size in SIZES:
+        with mock.patch.object(proofio, "BLOCK_BYTES", size):
+            assert [_binary_steps(source) for source in sources(data, size)] == [expected, expected], size

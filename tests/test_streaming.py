@@ -149,10 +149,23 @@ def test_an_error_many_blocks_in_keeps_its_absolute_line_and_offset(monkeypatch,
         assert raised(parse, source) == (error, message, line, offset)
 
 
+NO_RECORD_END = b"d" + b" 1 2 0\nd" * 20000  # text read as binary: 160,001 bytes and no zero byte
+
+
+def _traced_peak(call):
+    """tracemalloc's peak over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_record_is_not_matched_before_its_end_is_read():
-    # the record pattern keeps about 200 bytes of state per varint while it tries a match, so a
-    # failed match over this run of text read as binary would take about 31 MiB for its 160,001 bytes
-    data = b"d" + b" 1 2 0\nd" * 20000
+    # the run is held until the end of input shows that no record end follows, and only then
+    # decoded once; holding the run and its reads costs a few times its length, not more
+    data = NO_RECORD_END
     tracemalloc.start()
     try:
         assert raised(parse_binary_proof, data) == (ProofError, "input ends inside a record (missing zero byte)", 0, 0)
@@ -160,6 +173,52 @@ def test_a_record_is_not_matched_before_its_end_is_read():
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(data), peak
+
+
+def test_a_run_with_no_record_end_is_not_decoded_byte_by_byte(monkeypatch):
+    # every byte of the run is a one-byte varint with a valid code, which a regex skips in one match
+    calls = []
+    decode = proofio.decode_varint
+    monkeypatch.setattr(proofio, "decode_varint", lambda *args: calls.append(args) or decode(*args))
+    assert raised(parse_binary_proof, NO_RECORD_END) == (ProofError, "input ends inside a record (missing zero byte)",
+                                                         0, 0)
+    assert len(calls) < 10, len(calls)
+
+
+def test_a_long_record_costs_little_more_than_its_literals_in_short_records():
+    rng = random.Random(3)
+    lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 10**6), 100_000)]
+    one = serialize_binary([(False, lits)])
+    many = serialize_binary([(False, lits[i : i + 100]) for i in range(0, len(lits), 100)])
+    peaks = [_traced_peak(lambda: parse_binary_proof(data)) for data in (one, many)]
+    # the records' literals are held alike; a pattern that matched a record's varints one
+    # group at a time kept about 112 bytes more per literal, in regex state
+    assert peaks[0] - peaks[1] < 64 * len(lits), (peaks, (peaks[0] - peaks[1]) / len(lits))
+
+
+def test_a_bad_prefix_is_reported_before_the_rest_of_the_input_is_read():
+    data = b"x" + b"\x02" * (1 << 20)  # no zero byte, so no record end is ever read
+    peak = _traced_peak(lambda: raised(parse_binary_proof, data))
+    assert raised(parse_binary_proof, data) == (ProofError, "record prefix 0x78 is neither 'a' nor 'd'", 0, 0)
+    assert peak < len(data) // 4, peak
+
+
+class CountedReads(io.BytesIO):
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_record_longer_than_a_read_makes_the_reads_grow(monkeypatch):
+    monkeypatch.setattr(proofio, "BLOCK_BYTES", 16)
+    lits = list(range(100_000, 133_334))
+    record = serialize_binary([(False, lits)])  # 100,004 bytes: 3 a literal, its prefix and its zero byte
+    source = CountedReads(record)
+    assert parse_binary_proof(source) == [(False, lits)]
+    # reads of a fixed 16 bytes would take about 6,400 calls
+    assert source.reads < 64, source.reads
 
 
 # -- peak memory through the command line -----------------------------------
