@@ -2,17 +2,16 @@
 
 Usage, from the root of the repository:
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-For each mutant (all of them, or those named), src/ and tests/ are copied to a
-temporary directory, one exact snippet of one source file is replaced there,
-and TESTS are run against the copy. The unmutated copy is run first, since a
-copy that fails on its own would count every mutant as killed. The script
-exits 1 if the unmutated copy fails, if a snippet no longer occurs exactly
-once in its file (the code has changed, so rewrite the mutant with it), or if
-a mutant survives without a reason given next to it. A survivor is either a
-gap in the tests, to be closed, or a mutant that cannot change behaviour,
-which keeps its reason here.
+For each mutant, src/ and tests/ are copied to a temporary directory, one
+exact snippet of one source file is replaced there, and TESTS are run against
+the copy. The unmutated copy is run first, since a copy that fails on its own
+would count every mutant as killed. The script exits 1 if the unmutated copy
+fails, if a snippet no longer occurs exactly once in its file (the code has
+changed, so rewrite the mutant with it), or if a mutant survives without a
+reason given next to it. A survivor is either a gap in the tests, to be
+closed, or a mutant that cannot change behaviour, which keeps its reason here.
 """
 
 from __future__ import annotations
@@ -80,11 +79,7 @@ def fresh_copy(parent: Path) -> Path:
     return copy
 
 
-def main(names) -> int:
-    unknown = set(names) - {mutant[0] for mutant in MUTANTS}
-    if unknown:
-        print("unknown mutants: %s" % sorted(unknown))
-        return 2
+def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
         passed, seconds = run_tests(fresh_copy(Path(scratch)))
@@ -92,8 +87,6 @@ def main(names) -> int:
         if not passed:
             return 1
         for name, path, snippet, replacement, reason in MUTANTS:
-            if names and name not in names:
-                continue
             copy = fresh_copy(Path(scratch))
             source = copy / path
             text = source.read_text()
@@ -112,4 +105,4 @@ def main(names) -> int:
 
 if __name__ == "__main__":
     sys.stdout.reconfigure(line_buffering=True)  # each mutant's line as it is done, also in a CI log
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -152,12 +152,11 @@ def test_an_error_many_blocks_in_keeps_its_absolute_line_and_offset(monkeypatch,
 NO_RECORD_END = b"d" + b" 1 2 0\nd" * 20000  # text read as binary: 160,001 bytes and no zero byte
 
 
-def _traced_peak(call):
-    """tracemalloc's peak over call()."""
+def _traced(call):
+    """(call()'s result, tracemalloc's peak over the call)."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -166,12 +165,8 @@ def test_a_record_is_not_matched_before_its_end_is_read():
     # the run is held until the end of input shows that no record end follows, and only then
     # decoded once; holding the run and its reads costs a few times its length, not more
     data = NO_RECORD_END
-    tracemalloc.start()
-    try:
-        assert raised(parse_binary_proof, data) == (ProofError, "input ends inside a record (missing zero byte)", 0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = _traced(lambda: raised(parse_binary_proof, data))
+    assert outcome == (ProofError, "input ends inside a record (missing zero byte)", 0, 0)
     assert peak < 4 * len(data), peak
 
 
@@ -190,16 +185,17 @@ def test_a_long_record_costs_little_more_than_its_literals_in_short_records():
     lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 10**6), 100_000)]
     one = serialize_binary([(False, lits)])
     many = serialize_binary([(False, lits[i : i + 100]) for i in range(0, len(lits), 100)])
-    peaks = [_traced_peak(lambda: parse_binary_proof(data)) for data in (one, many)]
-    # the records' literals are held alike; a pattern that matched a record's varints one
-    # group at a time kept about 112 bytes more per literal, in regex state
-    assert peaks[0] - peaks[1] < 64 * len(lits), (peaks, (peaks[0] - peaks[1]) / len(lits))
+    peaks = [_traced(lambda: parse_binary_proof(data))[1] for data in (one, many)]
+    # the records' literals are held alike; the long record keeps about 61 bytes more per literal
+    # on CPython 3.11 to 3.13 (59 on 3.10), mostly the duplicate check's set and the ints that abs()
+    # makes, while a pattern that matched its varints one group at a time kept 112 (184 on 3.10)
+    assert peaks[0] - peaks[1] < 80 * len(lits), (peaks, (peaks[0] - peaks[1]) / len(lits))
 
 
 def test_a_bad_prefix_is_reported_before_the_rest_of_the_input_is_read():
     data = b"x" + b"\x02" * (1 << 20)  # no zero byte, so no record end is ever read
-    peak = _traced_peak(lambda: raised(parse_binary_proof, data))
-    assert raised(parse_binary_proof, data) == (ProofError, "record prefix 0x78 is neither 'a' nor 'd'", 0, 0)
+    outcome, peak = _traced(lambda: raised(parse_binary_proof, data))
+    assert outcome == (ProofError, "record prefix 0x78 is neither 'a' nor 'd'", 0, 0)
     assert peak < len(data) // 4, peak
 
 
@@ -235,12 +231,9 @@ def _padded(steps):
 
 def _peak(argv):
     """tracemalloc's peak over one main(argv) call, which must succeed."""
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    status, peak = _traced(lambda: main(argv))
+    assert status == 0
+    return peak
 
 
 @pytest.mark.parametrize("command", ["check", "check -v", "convert --to binary", "convert --to plain"])
