@@ -93,13 +93,13 @@ def run_convert(args) -> int:
     output = os.path.realpath(args.output)
     special = os.path.exists(output) and not os.path.isfile(output)
     temp = output if special else "%s.%d.tmp" % (output, os.getpid())
-    made, written = False, []  # bytes per write: a pipe cannot tell its position either
+    made = False
     try:
         source, encoding = _open_proof(args.proof, args.encoding)
         with source, open(temp, "wb") as sink:
             made = not special
-            write = lambda block: written.append(sink.write(block))
-            write(proofio.write_records(_READERS[encoding](source), args.to, write))
+            # the bytes written are summed, as a pipe cannot tell its position either
+            written = sum(map(sink.write, proofio.write_records(_READERS[encoding](source), args.to)))
         if made:
             os.replace(temp, output)
     except (OSError, proofio.ProofError) as exc:
@@ -109,7 +109,7 @@ def run_convert(args) -> int:
         if made:
             os.remove(temp)
         return 2
-    print("c read %d bytes (%s), wrote %d bytes (%s)" % (source.raw.size, encoding, sum(written), args.to))
+    print("c read %d bytes (%s), wrote %d bytes (%s)" % (source.raw.size, encoding, written, args.to))
     return 0
 
 

@@ -48,8 +48,6 @@ def clause_records(data):
     for _, lits in reader.clauses(var_max):
         found += 1
         yield lits
-    if reader.unterminated is not None:
-        raise reader.located("end of input inside a clause (missing terminating 0)", reader.unterminated)
     if found != num_cls:
         raise DimacsError("header declares %d clauses but %d were found" % (num_cls, found))
 

@@ -47,7 +47,7 @@ def _lines(text, pos):
 
 
 class Lines:
-    """The lines of a binary file, or of bytes, read in blocks, raising errors of the given class.
+    """The lines of a binary file, or of bytes, read in blocks, raising every error of the given class itself.
 
     A block is (byte offset, line number, bytes, text) of whole lines, its text with each
     ``\\r\\n`` made ``\\n``; positions refer to the text. A token is located by ``where`` =
@@ -58,7 +58,6 @@ class Lines:
         self.blocks = _blocks(binary_file(data))
         self.error = error
         self.rest = []  # (block, position) just after the last line that lines() yielded
-        self.unterminated = None  # where the clause open at the end began
 
     def lines(self):
         """Yield (where of the line start, line) for each line; clauses() reads on after the last one yielded."""
@@ -89,8 +88,8 @@ class Lines:
         Errors, a literal whose variable is above limit among them, are
         raised in input order. A repeated variable is located at the
         clause's first token, which is its ``d`` prefix if deletes allows
-        one. A clause left open at the end of the input is not yielded: its
-        location is kept in ``unterminated``.
+        one. A clause left open at the end of the input raises the
+        end-of-input error, located at its first token.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
@@ -151,7 +150,9 @@ class Lines:
                     raise self._bad_token(run[bad], (block, first, at + bad), limit, deletes)
                 at = end
             tokens = run = None  # this block's tokens go before the next block is read
-        self.unterminated = where if pending or delete else None
+        if pending or delete:
+            kind = "proof step" if deletes else "clause"
+            raise self.located("end of input inside a %s (missing terminating 0)" % kind, where)
 
     def _bad_token(self, token, where, limit, deletes):
         text = token.decode("latin-1")

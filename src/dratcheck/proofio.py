@@ -67,10 +67,7 @@ def decode_varint(data, pos: int = 0) -> tuple[int, int]:
 
 def plain_records(data):
     """Yield (delete, literals) per step of a plain proof (bytes or a binary file) that passed every check."""
-    reader = Lines(data, ProofError)
-    yield from reader.clauses(deletes=True)
-    if reader.unterminated is not None:
-        raise reader.located("end of input inside a proof step (missing terminating 0)", reader.unterminated)
+    yield from Lines(data, ProofError).clauses(deletes=True)
 
 
 _VARINT = re.compile(rb"[\x80-\xff]*[\x00-\x7f]")
@@ -131,9 +128,9 @@ def parse_binary_proof(data: bytes) -> list:
     return list(binary_records(data))
 
 
-def write_records(records, encoding: str, write=None) -> bytearray:
-    """(delete, literals) records in the encoding, plain text one step per line with single spaces; given
-    write, each run of whole records that reaches BLOCK_BYTES is passed to it, and only the rest returned."""
+def write_records(records, encoding: str):
+    """Yield (delete, literals) records in the encoding, plain text one step per line with single spaces,
+    in blocks of whole records; every block but the last reaches BLOCK_BYTES."""
     if encoding == BINARY:
         literal = Memo(lambda lit: encode_varint(map_literal(lit))).__getitem__
         add, delete, end = b"a", b"d", b"\x00"
@@ -144,23 +141,20 @@ def write_records(records, encoding: str, write=None) -> bytearray:
     for deleted, lits in records:
         # one join per record: joining the whole proof at once costs a buffer per literal
         out += (delete if deleted else add) + b"".join(map(literal, lits)) + end
-        if write and len(out) >= BLOCK_BYTES:
-            write(out)
+        if len(out) >= BLOCK_BYTES:
+            yield out
             out = bytearray()
-    return out
+    yield out
 
 
 def serialize_plain(records) -> bytes:
     """Write (delete, literals) records as plain text, one step per line, single spaces."""
-    return bytes(write_records(checked_records(records), PLAIN))
+    return b"".join(write_records(checked_records(records), PLAIN))
 
 
 def serialize_binary(records) -> bytes:
     """Write (delete, literals) records in the binary encoding, bit-exact with parse_binary_proof."""
-    return bytes(write_records(checked_records(records), BINARY))
-
-
-_BLANKS = re.compile(rb"[ \t\n\r]*")
+    return b"".join(write_records(checked_records(records), BINARY))
 
 
 def detect_encoding(data: bytes) -> str:
@@ -171,8 +165,8 @@ def detect_encoding(data: bytes) -> str:
     a zero byte outside a line that starts with 'c': every binary record
     ends in one, and a plain proof may hold one only in a comment line.
     """
-    start = _BLANKS.match(data, 0, BLOCK_BYTES).end()
-    lines = data[:BLOCK_BYTES].split(b"\n")
-    if data[start : start + 1] in (b"a", b"d") and any(b"\x00" in line and line[:1] != b"c" for line in lines):
+    prefix = data[:BLOCK_BYTES]
+    lines = prefix.split(b"\n")
+    if prefix.lstrip(b" \t\n\r")[:1] in (b"a", b"d") and any(b"\x00" in line and line[:1] != b"c" for line in lines):
         return BINARY
     return PLAIN

@@ -7,7 +7,8 @@ Usage, from the root of the repository:
 For each mutant, src/ and tests/ are copied to a temporary directory, one
 exact snippet of one source file is replaced there, and TESTS are run against
 the copy. The unmutated copy is run first, since a copy that fails on its own
-would count every mutant as killed. The script exits 1 if the unmutated copy
+would count every mutant as killed; its time sets the timeout that kills a
+mutant whose tests hang. The script exits 1 if the unmutated copy
 fails, if a snippet no longer occurs exactly once in its file (the code has
 changed, so rewrite the mutant with it), or if a mutant survives without a
 reason given next to it. A survivor is either a gap in the tests, to be
@@ -25,11 +26,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_errors.py", "tests/test_proofio.py", "tests/test_fuzz.py", "tests/test_streaming.py",
-         "tests/test_acceptance.py"]
-TIMEOUT_S = 900  # a mutant that hangs the tests is killed
+TESTS = ["tests/test_checker.py", "tests/test_golden.py", "tests/test_errors.py", "tests/test_proofio.py",
+         "tests/test_fuzz.py", "tests/test_streaming.py", "tests/test_acceptance.py"]
+TIMEOUT_FACTOR = 3  # a mutant whose tests take this many times the unmutated copy's time hangs them, and is killed
 
 PROOFIO = "src/dratcheck/proofio.py"
+CHECKER = "src/dratcheck/checker.py"
+LEXER = "src/dratcheck/lexer.py"
 
 # (name, file, snippet, replacement, reason it survives or None)
 MUTANTS = [
@@ -55,17 +58,57 @@ MUTANTS = [
     ("varints of six bytes", PROOFIO, "if consumed == 5:", "if consumed == 6:", None),
     ("code 1 is a literal", PROOFIO, "if code < 2:", "if code < 1:", None),
     ("varint values one past the literal range", PROOFIO, "if value > MAX_CODE:", "if value > MAX_CODE + 1:", None),
+    # propagation
+    ("no conflict on an implication", CHECKER,
+     "                if values[other] == FALSE:\n                    return True\n", "", None),
+    ("no conflict at the watch loop's exit", CHECKER,
+     "                    if values[other] == FALSE:\n                        kept +=",
+     "                    if False:\n                        kept +=", None),
+    ("units not asserted", CHECKER,
+     "for code in assumed if start else assumed + self._units:", "for code in assumed:", None),
+    # the RAT stage
+    ("no tautology skip", CHECKER, "if any(code ^ 1 in own for code in codes if code != negated):", "if False:", None),
+    ("the pivot is the last literal", CHECKER, "pivot = literals[0]", "pivot = literals[-1]", None),
+    ("the lemma's fixpoint left on the trail", CHECKER, "            self._undo(0)", "            pass", None),
+    # deletion and the index
+    ("unit deletions applied", CHECKER, "        if len(literals) == 1:\n            self._note(",
+     "        if False:\n            self._note(", None),
+    ("a merged copy not counted", CHECKER,
+     "                surplus[id(stored)] = surplus.get(id(stored), 0) + 1\n", "", None),
+    ("a merged copy left in propagation", CHECKER,
+     "                self._unattach(codes)\n            elif occurs", "            elif occurs", None),
+    ("watches removed by equality", CHECKER,
+     "                while watchers[at] is not codes:\n                    at = watchers.index(codes, at + 1)\n",
+     "", None),
+    ("occurrences keep a deleted clause", CHECKER, "self._occurs[code].remove(codes)", "pass", None),
+    ("occurrences not extended for a new variable", CHECKER,
+     "        if self._occurs is not None:\n            self._occurs += ([], [])\n", "", None),
+    ("a deletion skips the pending copies", CHECKER,
+     "        ids = self._index()\n        codes = ids.get(key)", "        ids = self._ids\n        codes = ids.get(key)",
+     None),
+    ("the last surplus copy kept as a zero count", CHECKER, "if extra > 1:", "if extra > 0:", None),
+    # the lexer
+    ("'-0' taken as clean", LEXER, 'clean = b"-0" not in joined and tokens', "clean = tokens", None),
+    ("leading zeros taken as clean", LEXER,
+     'tokens.count(b"0") == (\n                    joined.count(b" 0") + joined.count(b"\\t0") + joined.startswith(b"0")\n'
+     "                )", "True", None),
+    ("no duplicate-variable check in a clause", LEXER, "if len(set(map(abs, lits))) != len(lits):", "if False:",
+     None),
+    ("no check of a literal below -limit", LEXER, "(max(values) > limit or min(values) < -limit)",
+     "max(values) > limit", None),
+    ("a block's tokens held while the next is read", LEXER,
+     "            tokens = run = None  # this block's tokens go before the next block is read\n", "", None),
 ]
 
 
-def run_tests(copy: Path) -> tuple[bool, float]:
-    """(whether TESTS pass on copy, seconds taken)."""
+def run_tests(copy: Path, timeout: float | None = None) -> tuple[bool, float]:
+    """(whether TESTS pass on copy within timeout seconds, seconds taken)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
                               cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout)
         passed = done.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False
@@ -86,6 +129,7 @@ def main() -> int:
         print("%-45s %-8s %5.1f s" % ("(unmutated)", "passes" if passed else "FAILS", seconds))
         if not passed:
             return 1
+        timeout = TIMEOUT_FACTOR * seconds
         for name, path, snippet, replacement, reason in MUTANTS:
             copy = fresh_copy(Path(scratch))
             source = copy / path
@@ -95,7 +139,7 @@ def main() -> int:
                 failed = True
                 continue
             source.write_text(text.replace(snippet, replacement))
-            passed, seconds = run_tests(copy)
+            passed, seconds = run_tests(copy, timeout)
             note = "  (%s)" % reason if passed and reason else ""
             print("%-45s %-8s %5.1f s%s" % (name, "SURVIVES" if passed else "killed", seconds, note))
             failed |= passed and not reason

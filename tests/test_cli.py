@@ -420,6 +420,32 @@ def test_exit_codes_partition_outcomes(paper_files, tmp_path):
     assert main(["check", missing, str(proof)]) == 2
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["check -q", "check", "check -v", "convert -o /dev/stdout"])
+def test_a_closed_stdout_exits_2_with_nothing_on_stderr(paper_files, command, buffered):
+    # a buffered stdout fails only when it is flushed, an unbuffered one at the first print
+    import os
+    import subprocess
+    import sys
+
+    formula, proof = paper_files
+    if command.startswith("check"):
+        argv = [*command.split(), str(formula), str(proof)]
+    else:
+        argv = ["convert", str(proof), "--to", "binary", "-o", "/dev/stdout"]
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "dratcheck", *argv], stdout=write, stderr=subprocess.PIPE,
+                             env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (2, b"")
+
+
 IMPORTS_SCRIPT = """
 import importlib.util, sys
 sys.path.insert(0, %(source)r)

@@ -92,7 +92,7 @@ def _write_case(name: str) -> None:
     records = [(kind == "d", list(lits)) for kind, lits in steps]
     plain = "".join(("d " if delete else "") + " ".join(map(str, lits + [0])) + "\n" for delete, lits in records)
     (folder / "proof.drat").write_text(plain)
-    (folder / "proof.bin").write_bytes(bytes(write_records(records, BINARY)))
+    (folder / "proof.bin").write_bytes(b"".join(write_records(records, BINARY)))
 
 
 def regenerate() -> None:

@@ -66,7 +66,7 @@ def plain_bytes(steps) -> bytes:
 def records(encoding: str, plain: bytes):
     if encoding == PLAIN:
         return plain_records(plain)
-    return binary_records(bytes(write_records(plain_records(plain), BINARY)))
+    return binary_records(b"".join(write_records(plain_records(plain), BINARY)))
 
 
 def duplicate_adds(clauses, steps) -> int:
@@ -121,14 +121,14 @@ def test_reading_and_writing_records_makes_no_cycle(source, target):
     proofs = [plain_bytes(random_replay_case(rng)[1]) for _ in range(40)]
     proofs += [plain_bytes(steps) for steps, _ in PAPER_PROOFS]
     if source == BINARY:
-        proofs = [bytes(write_records(plain_records(proof), BINARY)) for proof in proofs]
+        proofs = [b"".join(write_records(plain_records(proof), BINARY)) for proof in proofs]
     read = plain_records if source == PLAIN else binary_records
 
     def convert():
         for data in proofs:
             for _ in read(data):
                 pass
-            write_records(read(data), target)
+            b"".join(write_records(read(data), target))
 
     _, garbage = cyclic_garbage(convert)
     assert garbage == []
