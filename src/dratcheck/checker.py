@@ -73,11 +73,12 @@ class CheckerState:
     # -- clause bookkeeping ------------------------------------------------
 
     def _new_variable(self, lit: int) -> int:
-        """Give the variable of lit, seen for the first time, its two codes."""
+        """Give the variable of lit, seen for the first time, its two codes; each signed
+        literal is one int object, both a key of _code and an item of _literal."""
         first = len(self._values)
-        var = abs(lit)
-        self._code[var], self._code[-var] = first, first + 1
-        self._literal += (var, -var)
+        var, negative = abs(lit), -abs(lit)
+        self._code[var], self._code[negative] = first, first + 1
+        self._literal += (var, negative)
         self._values += (UNASSIGNED, UNASSIGNED)
         self._watches += ([], [])
         self._implied += ((), ())
@@ -352,13 +353,14 @@ class CheckerState:
             self.trace(message % tuple(format_clause(a) if isinstance(a, (tuple, list)) else a for a in args))
 
 
-def check_records(state: CheckerState, records, trace=None) -> CheckReport:
+def check_records(state: CheckerState, records, trace=None, keep_warnings: bool = True) -> CheckReport:
     """Replay (delete, literals) records against a checker state with forward checking.
 
     The state is changed in place. Steps are numbered from 1. The first accepted
     addition of the empty clause verifies the proof and the first failed addition
-    rejects it; deletions never fail but may warn. Later records are read, so an
-    error in them wins over the verdict. A trace is set on the state for this call only.
+    rejects it; deletions never fail but may warn, and the report keeps each warning
+    unless keep_warnings is false. Later records are read, so an error in them wins
+    over the verdict. A trace is set on the state for this call only.
     """
     warnings: list[DeletionWarning] = []
     report = CheckReport(NO_EMPTY_CLAUSE, warnings=warnings)
@@ -369,7 +371,7 @@ def check_records(state: CheckerState, records, trace=None) -> CheckReport:
                 state.trace = lambda msg, i=index: trace("step %d: %s" % (i, msg))
             if delete:
                 warning = state.apply_delete(literals, index)
-                if warning is not None:
+                if warning is not None and keep_warnings:
                     warnings.append(warning)
                 continue
             rejection = state.apply_add(literals, index)

@@ -57,7 +57,8 @@ def run_check(args) -> int:
                 print("c parsed %s proof with %d steps" % (encoding, sum(1 for _ in _READERS[encoding](handle))))
                 handle.seek(0)
                 trace = lambda message: print("c " + message)
-            report = checker.check_records(state, _READERS[encoding](handle), trace=trace)
+            # -q prints no warning, so none is kept
+            report = checker.check_records(state, _READERS[encoding](handle), trace, keep_warnings=not quiet)
     except (OSError, proofio.ProofError) as exc:
         print("c error: %s: %s" % (args.proof, exc))
         return 2

@@ -44,10 +44,7 @@ def clause_records(data):
     """
     reader = Lines(data, DimacsError)
     var_max, num_cls = _parse_header(reader)
-    found = 0
-    for _, lits in reader.clauses(var_max):
-        found += 1
-        yield lits
+    found = yield from reader.clauses(var_max)
     if found != num_cls:
         raise DimacsError("header declares %d clauses but %d were found" % (num_cls, found))
 

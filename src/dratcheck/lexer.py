@@ -82,21 +82,25 @@ class Lines:
         return self.error(message, number + lines + 1, offset + start + column)
 
     def clauses(self, limit: int = MAX_LITERAL, deletes: bool = False):
-        """Yield (delete, literals) for each clause ended by a 0 token.
+        """Yield each clause ended by a 0 token, its literal list or, if deletes allows a ``d``
+        prefix, (delete, literals); return how many. Reading goes on from the first line not read.
 
-        Reading goes on from the first line not read yet, block by block.
         Errors, a literal whose variable is above limit among them, are
-        raised in input order. A repeated variable is located at the
-        clause's first token, which is its ``d`` prefix if deletes allows
-        one. A clause left open at the end of the input raises the
-        end-of-input error, located at its first token.
+        raised in input order. A repeated variable, or a clause left open at
+        the end of the input, is located at the clause's first token, which is
+        its ``d`` prefix if it has one. A token's location is made only for an error.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
         delete = False
-        where = None
+        where = None  # of a clause that goes on past its run
+        found = 0
         for block, first in itertools.chain(self.rest, ((block, 0) for block in self.blocks)):
-            joined = b" ".join([line for line in block[3][first:].split(b"\n") if line[:1] != b"c"])
+            text = block[3][first:]
+            if text[:1] != b"c" and b"\nc" not in text:  # no comment line
+                joined = text.replace(b"\n", b" ")
+            else:
+                joined = b" ".join([line for line in text.split(b"\n") if line[:1] != b"c"])
             if joined.translate(None, allowed):
                 tokens, clean = _TOKEN.findall(joined), False
             else:
@@ -105,20 +109,16 @@ class Lines:
                 clean = b"-0" not in joined and tokens.count(b"0") == (
                     joined.count(b" 0") + joined.count(b"\t0") + joined.startswith(b"0")
                 )
-            at = 0
-            while at < len(tokens):
+            at, last = 0, len(tokens)
+            tokens.append(b"d")  # so that a proof's last run also ends at a "d"
+            while at < last:
                 if deletes and tokens[at] == b"d":
                     if pending or delete:
                         raise self._bad_token(b"d", (block, first, at), limit, deletes)
                     delete, where = True, (block, first, at)
                     at += 1
                     continue
-                end = len(tokens)
-                if deletes:
-                    try:
-                        end = tokens.index(b"d", at)
-                    except ValueError:
-                        pass
+                end = tokens.index(b"d", at) if deletes else last
                 # the run of literal tokens up to the next "d" is converted at once
                 run = tokens[at:end]
                 bad = None
@@ -132,20 +132,21 @@ class Lines:
                 if values and (max(values) > limit or min(values) < -limit):
                     bad = next(k for k, v in enumerate(values) if abs(v) > limit)
                     del values[bad:]
-                done = 0
-                while done < len(values):
-                    if not pending and not delete:
-                        where = (block, first, at + done)
-                    try:
-                        zero = values.index(0, done)
-                    except ValueError:
-                        pending += values[done:]
-                        break
-                    lits = pending + values[done:zero]
+                shift = len(pending)  # the literals of a clause begun in an earlier run come first
+                values[:0], pending = pending, []
+                ends, done = values.count(0), 0
+                for _ in range(ends):
+                    zero = values.index(0, done)
+                    lits = values[done:zero]
                     if len(set(map(abs, lits))) != len(lits):
-                        raise self.located(repeated_variable(lits), where)
-                    yield delete, lits
-                    pending, delete, done = [], False, zero + 1
+                        start = where if delete or done < shift else (block, first, at + done - shift)
+                        raise self.located(repeated_variable(lits), start)
+                    yield (delete, lits) if deletes else lits
+                    delete, done = False, zero + 1
+                found += ends
+                if done < len(values):  # a clause goes on past this run
+                    where = where if delete or done < shift else (block, first, at + done - shift)
+                    pending = values[done:]
                 if bad is not None:
                     raise self._bad_token(run[bad], (block, first, at + bad), limit, deletes)
                 at = end
@@ -153,6 +154,7 @@ class Lines:
         if pending or delete:
             kind = "proof step" if deletes else "clause"
             raise self.located("end of input inside a %s (missing terminating 0)" % kind, where)
+        return found
 
     def _bad_token(self, token, where, limit, deletes):
         text = token.decode("latin-1")

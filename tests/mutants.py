@@ -4,7 +4,8 @@ Usage, from the root of the repository:
 
     python tests/mutants.py
 
-For each mutant, src/ and tests/ are copied to a temporary directory, one
+For each mutant, src/ and tests/, and the perfbench/ and pyproject.toml that
+tests/test_cli.py reads, are copied to a temporary directory, one
 exact snippet of one source file is replaced there, and TESTS are run against
 the copy. The unmutated copy is run first, since a copy that fails on its own
 would count every mutant as killed; its time sets the timeout that kills a
@@ -27,12 +28,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_checker.py", "tests/test_golden.py", "tests/test_errors.py", "tests/test_proofio.py",
-         "tests/test_fuzz.py", "tests/test_streaming.py", "tests/test_acceptance.py"]
+         "tests/test_fuzz.py", "tests/test_streaming.py", "tests/test_acceptance.py", "tests/test_dimacs.py",
+         "tests/test_cli.py"]
 TIMEOUT_FACTOR = 3  # a mutant whose tests take this many times the unmutated copy's time hangs them, and is killed
 
 PROOFIO = "src/dratcheck/proofio.py"
 CHECKER = "src/dratcheck/checker.py"
 LEXER = "src/dratcheck/lexer.py"
+DIMACS = "src/dratcheck/dimacs.py"
+CLI = "src/dratcheck/cli.py"
 
 # (name, file, snippet, replacement, reason it survives or None)
 MUTANTS = [
@@ -58,6 +62,9 @@ MUTANTS = [
     ("varints of six bytes", PROOFIO, "if consumed == 5:", "if consumed == 6:", None),
     ("code 1 is a literal", PROOFIO, "if code < 2:", "if code < 1:", None),
     ("varint values one past the literal range", PROOFIO, "if value > MAX_CODE:", "if value > MAX_CODE + 1:", None),
+    # the code map
+    ("a negative literal made twice", CHECKER, "self._literal += (var, negative)", "self._literal += (var, -var)",
+     None),
     # propagation
     ("no conflict on an implication", CHECKER,
      "                if values[other] == FALSE:\n                    return True\n", "", None),
@@ -98,6 +105,22 @@ MUTANTS = [
      "max(values) > limit", None),
     ("a block's tokens held while the next is read", LEXER,
      "            tokens = run = None  # this block's tokens go before the next block is read\n", "", None),
+    ("a block's first-line comment read as tokens", LEXER,
+     'if text[:1] != b"c" and b"\\nc" not in text:', 'if b"\\nc" not in text:', None),
+    ("a block's later comment line read as tokens", LEXER,
+     'if text[:1] != b"c" and b"\\nc" not in text:', 'if text[:1] != b"c":', None),
+    ("a cross-block clause located in its 2nd block", LEXER,
+     "where = where if delete or done < shift else", "where = where if delete else", None),
+    ("each block counted as one clause", LEXER, "found += ends", "found += 1", None),
+    # the DIMACS header
+    ("a header without a blank after 'p'", DIMACS, 'rb"[ \\t]*p[ \\t]+cnf', 'rb"[ \\t]*p[ \\t]*cnf', None),
+    ("a header's trailing blanks refused", DIMACS, '([0-9]+)[ \\t]*")', '([0-9]+)")', None),
+    ("a variable count above 2^31 - 1", DIMACS, "if var_max > MAX_LITERAL:", "if var_max > MAX_LITERAL + 1:", None),
+    ("literals not bound by the header's count", DIMACS, "reader.clauses(var_max)", "reader.clauses()", None),
+    # the temporary output file of convert
+    ("convert's output left in its temporary file", CLI, "            os.replace(temp, output)\n", "            pass\n",
+     None),
+    ("a failed convert's temporary file left behind", CLI, "            os.remove(temp)\n", "            pass\n", None),
 ]
 
 
@@ -117,8 +140,9 @@ def run_tests(copy: Path, timeout: float | None = None) -> tuple[bool, float]:
 
 def fresh_copy(parent: Path) -> Path:
     copy = Path(tempfile.mkdtemp(dir=parent))
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", copy)
     return copy
 
 

@@ -310,6 +310,14 @@ def test_check_records_reads_the_records_after_the_verdict(clauses, verdict):
     assert (report.verdict, report.step, report.warnings) == (verdict, 1, [])
 
 
+def test_check_records_keeps_no_warning_if_told_and_gives_the_same_verdict():
+    records = [(True, [1, 5]), (True, [2]), (False, [2]), (True, [3, 4]), (False, [])]
+    kept = checker_module.check_records(loaded([[1, 2], [2], [-2]]), records)
+    dropped = checker_module.check_records(loaded([[1, 2], [2], [-2]]), records, keep_warnings=False)
+    assert [warning.step for warning in kept.warnings] == [1, 2, 4]
+    assert dropped.warnings == [] and (dropped.verdict, dropped.step) == (kept.verdict, kept.step) == (VERIFIED, 5)
+
+
 def test_check_records_takes_its_trace_off_the_state_on_exit():
     first = []
     state = loaded([[1, 2], [-1, 2], [1, -2]])
@@ -694,6 +702,15 @@ def test_clauses_of_three_or_more_literals_give_no_code_an_implication_list():
     assert all(others is state._implied[0] for others in state._implied)
     state.load([(clauses[0][0], -clauses[0][1])])
     assert sum(type(others) is list for others in state._implied) == 2
+
+
+def test_each_signed_literal_is_one_int_object_in_the_code_map_and_the_literal_list():
+    # variables above 256, so that no literal is one of CPython's cached small ints
+    state = CheckerState()
+    state.load([[1000, -2000], [-3000, 4000, 1000]])
+    assert len(state._code) == len(state._literal) == 8
+    assert all(state._literal[code] is literal for literal, code in state._code.items())
+    assert sorted(state._literal, key=abs) == [1000, -1000, 2000, -2000, 3000, -3000, 4000, -4000]
 
 
 def test_a_deleted_binary_clause_implies_nothing_afterwards():

@@ -59,9 +59,9 @@ def test_check_verbose_streams_the_records_to_the_checker(paper_files, monkeypat
     streamed = []
     check_records = checker.check_records
 
-    def capture(state, records, trace=None):
+    def capture(state, records, *args, **kwargs):
         streamed.append(iter(records) is records)
-        return check_records(state, records, trace)
+        return check_records(state, records, *args, **kwargs)
 
     monkeypatch.setattr(checker, "check_records", capture)
     formula, proof = paper_files
@@ -99,6 +99,25 @@ def test_check_warnings_are_comment_lines(paper_files, tmp_path, capsys):
     assert "c warning: step 1: deleted clause not in formula" in out
     assert "c warning: step 2: ignored deletion of unit clause" in out
     assert out.strip().splitlines()[-1] == "s VERIFIED"
+
+
+def test_check_q_holds_no_deletion_warning(paper_files, tmp_path, capsys):
+    # 20000 deletions of a clause not in the formula, each a warning that -q does not print
+    formula, _ = paper_files
+    noisy = tmp_path / "noisy.drat"
+    noisy.write_text("d 5 6 0\n" * 20000 + PAPER_PROOF)
+    tracemalloc.start()
+    try:
+        assert main(["check", "-q", str(formula), str(noisy)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "s VERIFIED\n"
+    # the 20000 warnings, held, would take about 3 MiB
+    assert peak < 2**20, peak
+    assert main(["check", str(formula), str(noisy)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 20001 and out[-2] == "c warning: step 20000: deleted clause not in formula (5 6)"
 
 
 def test_check_rejects_after_deleting_the_reason_of_a_root_unit(tmp_path, capsys):
@@ -195,9 +214,9 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     states = []
     check_records = checker.check_records
 
-    def capture(state, records, trace=None):
+    def capture(state, records, *args, **kwargs):
         states.append(state)
-        return check_records(state, records, trace)
+        return check_records(state, records, *args, **kwargs)
 
     monkeypatch.setattr(model.Formula, "__init__", refuse)
     monkeypatch.setattr(checker, "check_records", capture)
@@ -222,9 +241,9 @@ def test_a_check_that_never_deletes_builds_no_deletion_index(tmp_path, monkeypat
     states = []
     check_records = checker.check_records
 
-    def capture(state, records, trace=None):
+    def capture(state, records, *args, **kwargs):
         states.append(state)
-        return check_records(state, records, trace)
+        return check_records(state, records, *args, **kwargs)
 
     sorts = []
 
@@ -444,6 +463,28 @@ def test_a_closed_stdout_exits_2_with_nothing_on_stderr(paper_files, command, bu
     finally:
         os.close(write)
     assert (run.returncode, run.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["check -q", "check", "check -v", "convert"])
+def test_a_failed_stdout_write_exits_2_with_one_error_line(paper_files, tmp_path, command, buffered):
+    import os
+    import subprocess
+    import sys
+
+    formula, proof = paper_files
+    if command.startswith("check"):
+        argv = [*command.split(), str(formula), str(proof)]
+    else:
+        argv = ["convert", str(proof), "--to", "binary", "-o", str(tmp_path / "proof.bdrat")]
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "dratcheck", *argv], stdout=full, stderr=subprocess.PIPE,
+                             env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (2, b"c error: stdout: [Errno 28] No space left on device\n")
 
 
 IMPORTS_SCRIPT = """

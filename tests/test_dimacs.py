@@ -50,6 +50,13 @@ def test_missing_or_malformed_header():
     with pytest.raises(DimacsError, match="malformed header"):
         # nothing may sit between the header fields
         parse_dimacs("p cnf 4 8 extra\n1 0\n")
+    with pytest.raises(DimacsError, match="expected 'p cnf' header"):
+        # "p" and "cnf" are two fields
+        parse_dimacs("pcnf 2 1\n1 0\n")
+
+
+def test_header_fields_may_be_surrounded_by_blanks():
+    assert parse_dimacs(" \tp \t cnf\t2  1 \t\n1 0\n") == [[1]]
 
 
 def test_unterminated_clause():
