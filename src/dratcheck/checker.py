@@ -38,11 +38,11 @@ class CheckerState:
     It is a cache that ``_index`` brings up to date on the first deletion,
     RAT stage or ``clause_counts()``, so a check that does none of these
     builds no key. Catching up keeps one code list per distinct clause,
-    its first copy's; a later copy leaves propagation, which cannot tell
-    the two apart, and is counted in a sparse dict keyed by the list's
-    ``id``. ``_ids`` and the occurrence lists hold clauses of every length
-    alike, so RAT candidates, deletions and ``-v`` lines do not depend on
-    how a clause propagates. A clause of three or more literals is
+    its first copy's; a later copy is counted in a sparse dict keyed by the
+    list's ``id`` and, unless a unit, leaves propagation, which cannot tell
+    the two apart. ``_ids`` and the occurrence lists hold clauses of every
+    length alike, so RAT candidates, deletions and ``-v`` lines do not
+    depend on how a clause propagates. A clause of three or more literals is
     watched at positions 0 and 1; a binary clause {a, b} is watched nowhere,
     as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
     reads before a falsified code's watches. No parsed literal is kept.
@@ -117,7 +117,7 @@ class CheckerState:
     def _index(self) -> dict[tuple[int, ...], list[int]]:
         """_ids, brought up to date with the pending copies in load order: a copy
         of a clause not stored becomes its stored clause, and any other copy
-        is counted in _surplus and leaves propagation, where its twin acts alike."""
+        is counted in _surplus and, unless a unit, leaves propagation, where its twin acts alike."""
         ids, surplus, occurs = self._ids, self._surplus, self._occurs
         for codes in self._pending:
             stored = ids.setdefault(tuple(sorted(codes)), codes)
@@ -136,7 +136,7 @@ class CheckerState:
         # copy's positions 0 and 1 and not the other's, so a watch is found
         # by identity (index tries identity first, and skips equal lists)
         if len(codes) == 1:
-            self._units.remove(codes[0])
+            return  # units are never deleted, and asserting a code twice sets it once
         elif len(codes) == 2:
             self._implied[codes[0]].remove(codes[1])
             self._implied[codes[1]].remove(codes[0])

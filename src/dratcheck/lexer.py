@@ -85,15 +85,15 @@ class Lines:
         """Yield each clause ended by a 0 token, its literal list or, if deletes allows a ``d``
         prefix, (delete, literals); return how many. Reading goes on from the first line not read.
 
-        Errors, a literal whose variable is above limit among them, are
-        raised in input order. A repeated variable, or a clause left open at
-        the end of the input, is located at the clause's first token, which is
-        its ``d`` prefix if it has one. A token's location is made only for an error.
+        Errors, a literal whose variable is above limit among them, are raised in input order. A
+        repeated variable, or a clause left open at the end of the input, is located at the clause's
+        first token, which is its ``d`` prefix if it has one. A token's location is made only for an
+        error. A clause still open after a run is extended by the next one's literals, never re-read.
         """
         allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
         delete = False
-        where = None  # of a clause that goes on past its run
+        where = None  # of the open clause's first token; None when no clause is open
         found = 0
         for block, first in itertools.chain(self.rest, ((block, 0) for block in self.blocks)):
             text = block[3][first:]
@@ -113,7 +113,7 @@ class Lines:
             tokens.append(b"d")  # so that a proof's last run also ends at a "d"
             while at < last:
                 if deletes and tokens[at] == b"d":
-                    if pending or delete:
+                    if where is not None:
                         raise self._bad_token(b"d", (block, first, at), limit, deletes)
                     delete, where = True, (block, first, at)
                     at += 1
@@ -132,26 +132,25 @@ class Lines:
                 if values and (max(values) > limit or min(values) < -limit):
                     bad = next(k for k, v in enumerate(values) if abs(v) > limit)
                     del values[bad:]
-                shift = len(pending)  # the literals of a clause begun in an earlier run come first
-                values[:0], pending = pending, []
                 ends, done = values.count(0), 0
                 for _ in range(ends):
                     zero = values.index(0, done)
                     lits = values[done:zero]
+                    if pending:  # the open clause is joined to its last run once, at its 0
+                        lits, pending = pending + lits, []
                     if len(set(map(abs, lits))) != len(lits):
-                        start = where if delete or done < shift else (block, first, at + done - shift)
-                        raise self.located(repeated_variable(lits), start)
+                        raise self.located(repeated_variable(lits), where or (block, first, at + done))
                     yield (delete, lits) if deletes else lits
-                    delete, done = False, zero + 1
+                    delete, done, where = False, zero + 1, None
                 found += ends
-                if done < len(values):  # a clause goes on past this run
-                    where = where if delete or done < shift else (block, first, at + done - shift)
-                    pending = values[done:]
+                if done < len(values):  # a clause goes on past this run: extended, never re-read
+                    where = where or (block, first, at + done)
+                    pending += values[done:]
                 if bad is not None:
                     raise self._bad_token(run[bad], (block, first, at + bad), limit, deletes)
                 at = end
             tokens = run = None  # this block's tokens go before the next block is read
-        if pending or delete:
+        if where is not None:
             kind = "proof step" if deletes else "clause"
             raise self.located("end of input inside a %s (missing terminating 0)" % kind, where)
         return found

@@ -277,7 +277,8 @@ def assert_store_invariants(state):
     No assignment is left. The live copies are the indexed clauses plus
     the pending copies, and no pending copy is indexed; each index key is
     its clause's sorted codes. Each live copy is attached exactly once: a
-    unit puts its code in the unit list; a clause of three or more literals
+    unit puts its code in the unit list, once more for each surplus copy
+    merged into it, which stays asserted; a clause of three or more literals
     is watched at its positions 0 and 1, once each, and nowhere else; a
     binary clause is watched nowhere and puts its other code in each of its
     codes' implication lists once, which hold nothing else. An implication
@@ -290,7 +291,8 @@ def assert_store_invariants(state):
     assert all(key == tuple(sorted(codes)) for key, codes in state._ids.items())
     live = indexed + pending
     assert len({id(codes) for codes in live}) == len(live)
-    assert sorted(state._units) == sorted(codes[0] for codes in live if len(codes) == 1)
+    units = [codes[0] for codes in live if len(codes) == 1 for _ in range(1 + state._surplus.get(id(codes), 0))]
+    assert sorted(state._units) == sorted(units)
     watched = [(code, id(codes)) for code, watchers in enumerate(state._watches) for codes in watchers]
     expected = [(codes[k], id(codes)) for codes in live if len(codes) > 2 for k in (0, 1)]
     assert sorted(watched) == sorted(expected)

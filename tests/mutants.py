@@ -94,6 +94,9 @@ MUTANTS = [
      "        ids = self._index()\n        codes = ids.get(key)", "        ids = self._ids\n        codes = ids.get(key)",
      None),
     ("the last surplus copy kept as a zero count", CHECKER, "if extra > 1:", "if extra > 0:", None),
+    ("a merged unit copy removed from the unit list", CHECKER,
+     "return  # units are never deleted, and asserting a code twice sets it once", "self._units.remove(codes[0])",
+     None),
     # the lexer
     ("'-0' taken as clean", LEXER, 'clean = b"-0" not in joined and tokens', "clean = tokens", None),
     ("leading zeros taken as clean", LEXER,
@@ -110,7 +113,10 @@ MUTANTS = [
     ("a block's later comment line read as tokens", LEXER,
      'if text[:1] != b"c" and b"\\nc" not in text:', 'if text[:1] != b"c":', None),
     ("a cross-block clause located in its 2nd block", LEXER,
-     "where = where if delete or done < shift else", "where = where if delete else", None),
+     "where = where or (block, first, at + done)", "where = (block, first, at + done)", None),
+    ("the open clause copied per run", LEXER, "pending += values[done:]", "pending = pending + values[done:]", None),
+    ("where kept after a clause ends", LEXER,
+     "delete, done, where = False, zero + 1, None", "delete, done = False, zero + 1", None),
     ("each block counted as one clause", LEXER, "found += ends", "found += 1", None),
     # the DIMACS header
     ("a header without a blank after 'p'", DIMACS, 'rb"[ \\t]*p[ \\t]+cnf', 'rb"[ \\t]*p[ \\t]*cnf', None),

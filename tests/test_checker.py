@@ -795,7 +795,7 @@ def test_each_deletion_of_a_merged_clause_removes_one_copy():
         assert not state.check_at(clause)
         step += 1
         assert state.apply_delete(clause, step).kind == WARN_DELETED_MISSING
-    assert state._units == [state._code[5]] and state.check_at((5,))
+    assert state._units == [state._code[5]] * 2 and state.check_at((5,))  # both copies of (5,) stay asserted
     assert state.clause_counts() == {(5,): 2}
 
 

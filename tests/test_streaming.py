@@ -2,22 +2,27 @@
 
 Records and located errors must not depend on where a block or a read
 ends, and the command line's peak memory must not grow with steps that
-follow the empty clause. Blocks are made small by setting BLOCK_BYTES in
+follow the empty clause. Reading time must not grow faster than the
+input, whatever its layout. Blocks are made small by setting BLOCK_BYTES in
 the modules that read it; a trickling file also hands the buffered reader
 at most that many bytes per read, so a ``\\r\\n`` may be split across two
 reads.
 """
 
+import gc
 import io
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from dratcheck import lexer, proofio
+from dratcheck.checker import CheckerState
 from dratcheck.cli import main
-from dratcheck.dimacs import DimacsError, parse_dimacs
-from dratcheck.proofio import ProofError, parse_binary_proof, parse_plain_proof, serialize_binary
+from dratcheck.dimacs import DimacsError, clause_records, parse_dimacs
+from dratcheck.proofio import (ProofError, binary_records, parse_binary_proof, parse_plain_proof, plain_records,
+                               serialize_binary)
 
 from test_errors import BINARY_CASES, DIMACS_CASES, PROOF_CASES
 
@@ -254,3 +259,70 @@ def test_peak_memory_does_not_grow_with_steps_after_the_empty_clause(tmp_path, c
     # the first call imports what the command needs; the longer proof adds 120,000 bytes
     # of plain text and 45,000 of binary, which would show in the peak if it were held whole
     assert abs(peaks[2] - peaks[1]) < 32 * 1024, peaks
+
+
+# -- time linear in the input, whatever its layout ---------------------------
+
+def _numbers(n, separator):
+    return separator.join(b"%d" % v for v in range(1, n + 1)) + separator
+
+
+def _read_all(records):
+    for _ in records:
+        pass
+
+
+def _read_to_error(records):
+    with pytest.raises(DimacsError, match="malformed literal 'x'"):
+        _read_all(records)
+
+
+def _units_twice_then_a_deletion(clauses):
+    state = CheckerState()
+    state.load(clauses)
+    assert state.apply_delete([1, 2], 1) is not None  # the first deletion merges every second copy, and warns
+
+
+# name -> (n, the input for a size, the work timed on it). The first four spread one clause or
+# proof step over n lines, so over about n / 80 runs of the lexer in blocks of 512 bytes; the
+# next two are controls, with no record that spans the lexer's runs; the last merges n unit copies
+SCALING = {
+    "one clause, one literal per line":
+        (40_000, lambda n: b"p cnf %d 1\n" % n + _numbers(n, b"\n") + b"0\n",
+         lambda data: _read_all(clause_records(data))),
+    "one clause, a comment line between literals":
+        (40_000, lambda n: b"p cnf %d 1\n" % n + _numbers(n, b"\nc\n") + b"0\n",
+         lambda data: _read_all(clause_records(data))),
+    "a bad token after a clause of one literal per line":
+        (40_000, lambda n: b"p cnf %d 1\n" % n + _numbers(n, b"\n") + b"x 0\n",
+         lambda data: _read_to_error(clause_records(data))),
+    "a deletion spread over lines":
+        (40_000, lambda n: b"d\n" + _numbers(n, b"\n") + b"0\n", lambda data: _read_all(plain_records(data))),
+    "short clauses, one per line":
+        (20_000, lambda n: b"p cnf 2 %d\n" % n + b"1 -2 0\n" * n, lambda data: _read_all(clause_records(data))),
+    "one long binary record":
+        (20_000, lambda n: serialize_binary([(False, list(range(1, n + 1)))]),
+         lambda data: _read_all(binary_records(data))),
+    "each unit written twice, then a deletion":
+        (8_000, lambda n: [(v,) for v in range(1, n + 1) for _ in "ab"], _units_twice_then_a_deletion),
+}
+
+
+@pytest.mark.parametrize("shape", SCALING)
+def test_four_times_the_input_takes_about_four_times_as_long(monkeypatch, shape):
+    small_blocks(monkeypatch, 512)
+    n, make, work = SCALING[shape]
+    inputs = [make(n), make(4 * n)]
+    best = [float("inf")] * 2
+    for _ in range(3):  # the sizes alternate, so that a change of CPU speed falls on both
+        for k, data in enumerate(inputs):
+            gc.collect()
+            gc.disable()  # a collection's cost would depend on what earlier tests left
+            try:
+                start = time.process_time()
+                work(data)
+                best[k] = min(best[k], time.process_time() - start)
+            finally:
+                gc.enable()
+    # linear work gives a ratio of about 4, quadratic about 16
+    assert best[1] / best[0] < 8, best
