@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 
 from .model import (
@@ -30,25 +31,26 @@ class CheckerState:
     is a list indexed by code. Memory thus follows the number of distinct
     variables, not the largest literal value.
 
-    Clauses come in through load as literal sequences in written order, and
-    are only read. Each non-empty copy becomes a code list in written order
-    that propagates at once and waits in ``_pending``. ``_ids``, the
-    deletion index, maps each clause's sorted codes, the ints held in
-    ``_code``, to its code list, so any order of the same literals finds it.
-    It is a cache that ``_index`` brings up to date on the first deletion,
-    RAT stage or ``clause_counts()``, so a check that does none of these
-    builds no key. Catching up keeps one code list per distinct clause,
-    its first copy's; a later copy is counted in a sparse dict keyed by the
-    list's ``id`` and, unless a unit, leaves propagation, which cannot tell
-    the two apart. ``_ids`` and the occurrence lists hold clauses of every
-    length alike, so RAT candidates, deletions and ``-v`` lines do not
+    A clause copy is a code list in written order, stored as it is and only
+    read: load maps literal sequences, and the DIMACS reader, given ``_code``
+    (where the terminator 0 maps to None), yields exact-size slices of each
+    run's codes. A non-empty copy propagates at once and waits in
+    ``_pending``. ``_ids``, the deletion index, maps each clause's sorted
+    codes, the ints held in ``_code``, to its code list, so any order of the
+    same literals finds it. It is a cache that ``_index`` brings up to date on
+    the first deletion, RAT stage or ``clause_counts()``, so a check that does
+    none of these builds no key. Catching up keeps one code list per distinct
+    clause, its first copy's; a later copy is counted in a sparse dict keyed
+    by the list's ``id`` and, unless a unit, leaves propagation, which cannot
+    tell the two apart. ``_ids`` and the occurrence lists hold clauses of
+    every length alike, so RAT candidates, deletions and ``-v`` lines do not
     depend on how a clause propagates. A clause of three or more literals is
     watched at positions 0 and 1; a binary clause {a, b} is watched nowhere,
     as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
-    reads before a falsified code's watches. No parsed literal is kept.
-    Unit clauses are never watched, as unit deletions are ignored: their
-    codes are asserted whenever a propagation starts from an empty trail.
-    Copies of the empty clause turn every propagation into a conflict.
+    reads before a falsified code's watches. No parsed literal is kept. Unit
+    clauses are never watched, as unit deletions are ignored: their codes are
+    asserted whenever a propagation starts from an empty trail. Copies of the
+    empty clause turn every propagation into a conflict.
     """
 
     def __init__(self):
@@ -56,6 +58,7 @@ class CheckerState:
         # signed literal -> code; the Memo holds a bound method of self, the
         # state's one reference cycle, which the command line leaves to the OS
         self._code = Memo(self._new_variable)
+        self._code[0] = None  # the clause terminator, so that a reader maps a whole run
         self._literal: list[int] = []  # by code: signed literal
         self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
         self._watches: list[list[list[int]]] = []  # by code: code lists watching it
@@ -94,15 +97,18 @@ class CheckerState:
 
     def load(self, clauses) -> None:
         """Add one copy of each clause, a duplicate-free literal sequence; duplicate
-        clauses and the empty clause included. A copy propagates at once, and
-        waits in _pending for _index to key it."""
-        watches, units, implied, pending = self._watches, self._units, self._implied, self._pending
+        clauses and the empty clause included (see _store)."""
         code_of = self._code.__getitem__
-        for clause in clauses:
-            if not clause:
+        self._store([*map(code_of, clause)][:] for clause in clauses)  # a slice is allocated at its exact size
+
+    def _store(self, clauses) -> None:
+        """Add one copy of each clause, a list of codes from _code that the store keeps as it is.
+        A copy propagates at once, and waits in _pending for _index to key it."""
+        watches, units, implied, pending = self._watches, self._units, self._implied, self._pending
+        for codes in clauses:
+            if not codes:
                 self._empty_copies += 1
                 continue
-            codes = [*map(code_of, clause)][:]  # a slice is allocated at its exact size
             pending.append(codes)
             if len(codes) == 1:
                 units.append(codes[0])
@@ -119,34 +125,47 @@ class CheckerState:
         of a clause not stored becomes its stored clause, and any other copy
         is counted in _surplus and, unless a unit, leaves propagation, where its twin acts alike."""
         ids, surplus, occurs = self._ids, self._surplus, self._occurs
+        merged = []
         for codes in self._pending:
             stored = ids.setdefault(tuple(sorted(codes)), codes)
             if stored is not codes:
                 surplus[id(stored)] = surplus.get(id(stored), 0) + 1
-                self._unattach(codes)
+                if len(codes) > 1:  # units are never deleted, and asserting a code twice sets it once
+                    merged.append(codes)
             elif occurs is not None:
                 for code in codes:
                     occurs[code].append(codes)
+        if merged:
+            self._unattach_merged(merged)
         self._pending.clear()
         return ids
 
     def _unattach(self, codes) -> None:
-        # take one copy out of propagation; before the index catches up, a
-        # watch list may also hold an equal copy, as a conflict can swap one
-        # copy's positions 0 and 1 and not the other's, so a watch is found
-        # by identity (index tries identity first, and skips equal lists)
-        if len(codes) == 1:
-            return  # units are never deleted, and asserting a code twice sets it once
-        elif len(codes) == 2:
+        # take a deleted clause of two or more codes out of propagation; with the index up to date, no other
+        # live copy compares equal, so remove finds this one
+        if len(codes) == 2:
             self._implied[codes[0]].remove(codes[1])
             self._implied[codes[1]].remove(codes[0])
         else:
-            for code in codes[:2]:
-                watchers = self._watches[code]
-                at = watchers.index(codes)
-                while watchers[at] is not codes:
-                    at = watchers.index(codes, at + 1)
-                del watchers[at]
+            self._watches[codes[0]].remove(codes)
+            self._watches[codes[1]].remove(codes)
+
+    def _unattach_merged(self, copies) -> None:
+        # take merged copies out of propagation, with one pass over each list that holds one, so that merging
+        # is linear; a watch list may also hold the stored twin, as a conflict can swap one copy's positions 0
+        # and 1 and not the other's, so a watch is dropped by identity
+        pairs = Counter((codes[k], codes[1 - k]) for codes in copies if len(codes) == 2 for k in (0, 1))
+        for code in {code for code, _ in pairs}:
+            kept = []
+            for other in self._implied[code]:
+                if pairs[code, other]:
+                    pairs[code, other] -= 1
+                else:
+                    kept.append(other)
+            self._implied[code] = kept
+        ids = {id(codes) for codes in copies if len(codes) > 2}
+        for code in {code for codes in copies if len(codes) > 2 for code in codes[:2]}:
+            self._watches[code] = [codes for codes in self._watches[code] if id(codes) not in ids]
 
     def _occurrences(self) -> list[list[list[int]]]:
         """The occurrence lists, built oldest first on first use."""

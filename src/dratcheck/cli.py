@@ -39,10 +39,10 @@ def run_check(args) -> int:
 
     quiet = args.verbosity < 0
     try:
-        # the clauses go into the checker's store as they are read, block by block: no list of them is built
+        # the clauses go into the checker's store as they are read, block by block, as slices of codes
         state = checker.CheckerState()
         with open(args.formula, "rb") as handle:
-            state.load(dimacs.clause_records(handle))
+            state._store(dimacs.clause_records(handle, state._code))
     except (OSError, dimacs.DimacsError) as exc:
         print("c error: %s: %s" % (args.formula, exc))
         return 2

@@ -34,8 +34,9 @@ def _parse_header(reader: Lines):
     raise DimacsError("no 'p cnf' header found")
 
 
-def clause_records(data):
-    """Yield each clause copy of a DIMACS formula (bytes or a binary file) as its literal list, in written order.
+def clause_records(data, code=None):
+    """Yield each clause copy of a DIMACS formula (bytes or a binary file) in written order, as its literal
+    list or, given a CheckerState's code map, as the list of its codes, which the state stores as it is.
 
     Comment lines are skipped anywhere; blanks are space, tab, newline and a
     carriage return before a newline, so a clause may span lines and several
@@ -44,7 +45,7 @@ def clause_records(data):
     """
     reader = Lines(data, DimacsError)
     var_max, num_cls = _parse_header(reader)
-    found = yield from reader.clauses(var_max)
+    found = yield from reader.clauses(var_max, code=code)
     if found != num_cls:
         raise DimacsError("header declares %d clauses but %d were found" % (num_cls, found))
 

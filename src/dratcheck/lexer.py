@@ -5,12 +5,17 @@ The input is read from a binary file in blocks of whole lines, cut at ``\\n`` on
 comments. On every other line the blanks are exactly space and tab, and any other byte
 belongs to a token. Each block is checked and converted with C-level bytes operations;
 a line number and byte offset is worked out only for an error, from the block that holds it.
+The fast path: a block whose non-comment text is decimal tokens with one space between them and
+no "-0" becomes its ints in one call of the JSON scanner, which refuses a leading zero, "+", "--"
+and a lone "-" as the token path does, and reads one value per token. A block it refuses, or with
+a literal over the limit, takes the token path: records, errors and locations are the same either way.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import json
 import re
 
 from .model import MAX_LITERAL, repeated_variable
@@ -81,16 +86,16 @@ class Lines:
         start = sum(map(len, data.split(b"\n", lines)[:lines])) + lines  # the line's start in data
         return self.error(message, number + lines + 1, offset + start + column)
 
-    def clauses(self, limit: int = MAX_LITERAL, deletes: bool = False):
-        """Yield each clause ended by a 0 token, its literal list or, if deletes allows a ``d``
-        prefix, (delete, literals); return how many. Reading goes on from the first line not read.
+    def clauses(self, limit: int = MAX_LITERAL, deletes: bool = False, code=None):
+        """Yield each clause ended by a 0 token, its literal list or, given a code map, a slice of its run's codes
+        (see CheckerState), or, if deletes allows a ``d`` prefix, (delete, clause); return how many.
 
         Errors, a literal whose variable is above limit among them, are raised in input order. A
         repeated variable, or a clause left open at the end of the input, is located at the clause's
         first token, which is its ``d`` prefix if it has one. A token's location is made only for an
         error. A clause still open after a run is extended by the next one's literals, never re-read.
+        Reading goes on from the first line not read.
         """
-        allowed = _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"
         pending: list[int] = []
         delete = False
         where = None  # of the open clause's first token; None when no clause is open
@@ -101,55 +106,31 @@ class Lines:
                 joined = text.replace(b"\n", b" ")
             else:
                 joined = b" ".join([line for line in text.split(b"\n") if line[:1] != b"c"])
-            if joined.translate(None, allowed):
-                tokens, clean = _TOKEN.findall(joined), False
-            else:
-                tokens = joined.split()
-                # no "-0" and no token with a leading zero other than "0" itself
-                clean = b"-0" not in joined and tokens.count(b"0") == (
-                    joined.count(b" 0") + joined.count(b"\t0") + joined.startswith(b"0")
-                )
-            at, last = 0, len(tokens)
-            tokens.append(b"d")  # so that a proof's last run also ends at a "d"
-            while at < last:
-                if deletes and tokens[at] == b"d":
+            for at, values, bad in _runs(joined, limit, deletes):
+                if values is None:  # a "d" at the at-th token
                     if where is not None:
                         raise self._bad_token(b"d", (block, first, at), limit, deletes)
                     delete, where = True, (block, first, at)
-                    at += 1
                     continue
-                end = tokens.index(b"d", at) if deletes else last
-                # the run of literal tokens up to the next "d" is converted at once
-                run = tokens[at:end]
-                bad = None
-                try:
-                    values = [*map(int, run)] if clean else None
-                except ValueError:
-                    values = None
-                if values is None:
-                    bad = next((k for k, t in enumerate(run) if not _LITERAL.fullmatch(t)), None)
-                    values = [*map(int, run[:bad])]
-                if values and (max(values) > limit or min(values) < -limit):
-                    bad = next(k for k, v in enumerate(values) if abs(v) > limit)
-                    del values[bad:]
+                codes = values if code is None else [*map(code.__getitem__, values)]
                 ends, done = values.count(0), 0
                 for _ in range(ends):
                     zero = values.index(0, done)
                     lits = values[done:zero]
+                    clause = lits if code is None else codes[done:zero]
                     if pending:  # the open clause is joined to its last run once, at its 0
                         lits, pending = pending + lits, []
+                        clause = lits if code is None else [*map(code.__getitem__, lits)][:]
                     if len(set(map(abs, lits))) != len(lits):
                         raise self.located(repeated_variable(lits), where or (block, first, at + done))
-                    yield (delete, lits) if deletes else lits
+                    yield (delete, clause) if deletes else clause
                     delete, done, where = False, zero + 1, None
                 found += ends
                 if done < len(values):  # a clause goes on past this run: extended, never re-read
                     where = where or (block, first, at + done)
                     pending += values[done:]
                 if bad is not None:
-                    raise self._bad_token(run[bad], (block, first, at + bad), limit, deletes)
-                at = end
-            tokens = run = None  # this block's tokens go before the next block is read
+                    raise self._bad_token(bad, (block, first, at + len(values)), limit, deletes)
         if where is not None:
             kind = "proof step" if deletes else "clause"
             raise self.located("end of input inside a %s (missing terminating 0)" % kind, where)
@@ -164,3 +145,47 @@ class Lines:
         if len(token.lstrip(b"-")) > len(str(MAX_LITERAL)) or abs(int(token)) > MAX_LITERAL:
             return self.located("literal %s exceeds 2^31 - 1" % text, where)
         return self.located("literal %s exceeds declared maximum variable %d" % (text, limit), where)
+
+
+def _runs(joined, limit, deletes):
+    """Yield (n, values, bad) for each run of literal tokens in joined, a block's non-comment text, from its n-th
+    token on: values up to its first bad token, bad, or None; or (n, None, None) for a "d" that deletes allows."""
+    if not joined.translate(None, _DIGITS + b" ") and b"-0" not in joined:  # the fast path (see above)
+        try:
+            values = json.loads(b"[" + joined.strip(b" ").replace(b" ", b",") + b"]")
+            if not values or max(values) <= limit and min(values) >= -limit:
+                yield 0, values, None
+                return
+        except ValueError:
+            pass
+    if joined.translate(None, _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"):
+        tokens, clean = _TOKEN.findall(joined), False
+    else:
+        tokens = joined.split()
+        # no "-0" and no token with a leading zero other than "0" itself
+        clean = b"-0" not in joined and tokens.count(b"0") == (
+            joined.count(b" 0") + joined.count(b"\t0") + joined.startswith(b"0")
+        )
+    at, last = 0, len(tokens)
+    tokens.append(b"d")  # so that a proof's last run also ends at a "d"
+    while at < last:
+        if deletes and tokens[at] == b"d":
+            yield at, None, None
+            at += 1
+            continue
+        end = tokens.index(b"d", at) if deletes else last
+        # the run of literal tokens up to the next "d" is converted at once
+        run = tokens[at:end]
+        bad = None
+        try:
+            values = [*map(int, run)] if clean else None
+        except ValueError:
+            values = None
+        if values is None:
+            bad = next((k for k, t in enumerate(run) if not _LITERAL.fullmatch(t)), None)
+            values = [*map(int, run[:bad])]
+        if values and (max(values) > limit or min(values) < -limit):
+            bad = next(k for k, v in enumerate(values) if abs(v) > limit)
+            del values[bad:]
+        yield at, values, None if bad is None else run[bad]
+        at = end

@@ -29,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_checker.py", "tests/test_golden.py", "tests/test_errors.py", "tests/test_proofio.py",
          "tests/test_fuzz.py", "tests/test_streaming.py", "tests/test_acceptance.py", "tests/test_dimacs.py",
-         "tests/test_cli.py"]
+         "tests/test_cli.py", "tests/test_fastpath.py"]
 TIMEOUT_FACTOR = 3  # a mutant whose tests take this many times the unmutated copy's time hangs them, and is killed
 
 PROOFIO = "src/dratcheck/proofio.py"
@@ -83,10 +83,11 @@ MUTANTS = [
     ("a merged copy not counted", CHECKER,
      "                surplus[id(stored)] = surplus.get(id(stored), 0) + 1\n", "", None),
     ("a merged copy left in propagation", CHECKER,
-     "                self._unattach(codes)\n            elif occurs", "            elif occurs", None),
-    ("watches removed by equality", CHECKER,
-     "                while watchers[at] is not codes:\n                    at = watchers.index(codes, at + 1)\n",
-     "", None),
+     "        if merged:\n            self._unattach_merged(merged)\n", "", None),
+    ("a merged binary copy drops every copy's implication", CHECKER,
+     "                if pairs[code, other]:\n                    pairs[code, other] -= 1",
+     "                if pairs[code, other]:\n                    pass", None),
+    ("a merged longer copy left watched", CHECKER, "if id(codes) not in ids]", "]", None),
     ("occurrences keep a deleted clause", CHECKER, "self._occurs[code].remove(codes)", "pass", None),
     ("occurrences not extended for a new variable", CHECKER,
      "        if self._occurs is not None:\n            self._occurs += ([], [])\n", "", None),
@@ -95,19 +96,25 @@ MUTANTS = [
      None),
     ("the last surplus copy kept as a zero count", CHECKER, "if extra > 1:", "if extra > 0:", None),
     ("a merged unit copy removed from the unit list", CHECKER,
-     "return  # units are never deleted, and asserting a code twice sets it once", "self._units.remove(codes[0])",
-     None),
-    # the lexer
+     "                if len(codes) > 1:  # units are never deleted, and asserting a code twice sets it once\n"
+     "                    merged.append(codes)\n",
+     "                merged.append(codes) if len(codes) > 1 else self._units.remove(codes[0])\n", None),
+    # the lexer's fast path and the formula path's codes
+    ("no '-0' guard before the JSON scanner", LEXER, ' and b"-0" not in joined:  # the fast path',
+     ":  # the fast path", None),
+    ("no limit check on the fast path", LEXER,
+     "if not values or max(values) <= limit and min(values) >= -limit:", "if True:", None),
+    ("a clause joined across runs yielded as literals", LEXER,
+     "clause = lits if code is None else [*map(code.__getitem__, lits)][:]", "clause = lits", None),
+    # the lexer's token path
     ("'-0' taken as clean", LEXER, 'clean = b"-0" not in joined and tokens', "clean = tokens", None),
     ("leading zeros taken as clean", LEXER,
-     'tokens.count(b"0") == (\n                    joined.count(b" 0") + joined.count(b"\\t0") + joined.startswith(b"0")\n'
-     "                )", "True", None),
+     'tokens.count(b"0") == (\n            joined.count(b" 0") + joined.count(b"\\t0") + joined.startswith(b"0")\n'
+     "        )", "True", None),
     ("no duplicate-variable check in a clause", LEXER, "if len(set(map(abs, lits))) != len(lits):", "if False:",
      None),
     ("no check of a literal below -limit", LEXER, "(max(values) > limit or min(values) < -limit)",
      "max(values) > limit", None),
-    ("a block's tokens held while the next is read", LEXER,
-     "            tokens = run = None  # this block's tokens go before the next block is read\n", "", None),
     ("a block's first-line comment read as tokens", LEXER,
      'if text[:1] != b"c" and b"\\nc" not in text:', 'if b"\\nc" not in text:', None),
     ("a block's later comment line read as tokens", LEXER,
@@ -122,7 +129,7 @@ MUTANTS = [
     ("a header without a blank after 'p'", DIMACS, 'rb"[ \\t]*p[ \\t]+cnf', 'rb"[ \\t]*p[ \\t]*cnf', None),
     ("a header's trailing blanks refused", DIMACS, '([0-9]+)[ \\t]*")', '([0-9]+)")', None),
     ("a variable count above 2^31 - 1", DIMACS, "if var_max > MAX_LITERAL:", "if var_max > MAX_LITERAL + 1:", None),
-    ("literals not bound by the header's count", DIMACS, "reader.clauses(var_max)", "reader.clauses()", None),
+    ("literals not bound by the header's count", DIMACS, "reader.clauses(var_max, code=code)", "reader.clauses(code=code)", None),
     # the temporary output file of convert
     ("convert's output left in its temporary file", CLI, "            os.replace(temp, output)\n", "            pass\n",
      None),

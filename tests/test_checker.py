@@ -708,8 +708,9 @@ def test_each_signed_literal_is_one_int_object_in_the_code_map_and_the_literal_l
     # variables above 256, so that no literal is one of CPython's cached small ints
     state = CheckerState()
     state.load([[1000, -2000], [-3000, 4000, 1000]])
-    assert len(state._code) == len(state._literal) == 8
-    assert all(state._literal[code] is literal for literal, code in state._code.items())
+    # beside the literals, the map holds the readers' clause terminator 0, which maps to no code
+    assert len(state._code) == len(state._literal) + 1 == 9 and state._code[0] is None
+    assert all(state._literal[code] is literal for literal, code in state._code.items() if literal)
     assert sorted(state._literal, key=abs) == [1000, -1000, 2000, -2000, 3000, -3000, 4000, -4000]
 
 

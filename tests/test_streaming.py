@@ -283,9 +283,16 @@ def _units_twice_then_a_deletion(clauses):
     assert state.apply_delete([1, 2], 1) is not None  # the first deletion merges every second copy, and warns
 
 
+def _copies_then_a_deletion(clauses):
+    state = CheckerState()
+    state.load(clauses)
+    state.apply_delete([1, 2], 1)  # the first deletion merges every second copy
+
+
 # name -> (n, the input for a size, the work timed on it). The first four spread one clause or
 # proof step over n lines, so over about n / 80 runs of the lexer in blocks of 512 bytes; the
-# next two are controls, with no record that spans the lexer's runs; the last merges n unit copies
+# next two are controls, with no record that spans the lexer's runs; the last three merge n copies,
+# the binary and ternary ones from implication and watch lists that hold every copy
 SCALING = {
     "one clause, one literal per line":
         (40_000, lambda n: b"p cnf %d 1\n" % n + _numbers(n, b"\n") + b"0\n",
@@ -305,6 +312,10 @@ SCALING = {
          lambda data: _read_all(binary_records(data))),
     "each unit written twice, then a deletion":
         (8_000, lambda n: [(v,) for v in range(1, n + 1) for _ in "ab"], _units_twice_then_a_deletion),
+    "binary clauses that share a literal, each written twice, then a deletion":
+        (4_000, lambda n: [(1, v) for v in range(2, n + 2) for _ in "ab"], _copies_then_a_deletion),
+    "ternary clauses that share two literals, each written twice, then a deletion":
+        (2_000, lambda n: [(1, 2, v) for v in range(3, n + 3) for _ in "ab"], _copies_then_a_deletion),
 }
 
 
