@@ -19,8 +19,6 @@ from .model import (
     format_clause,
 )
 
-TRUE, FALSE, UNASSIGNED = 1, -1, 0
-
 
 class CheckerState:
     """Mutable checking state: the clause multiset plus propagation structures.
@@ -29,7 +27,9 @@ class CheckerState:
     literal of the i-th variable is held as the code 2i (positive) or 2i+1
     (negative), so negation is ``code ^ 1`` and every per-literal structure
     is a list indexed by code. Memory thus follows the number of distinct
-    variables, not the largest literal value.
+    variables, not the largest literal value. ``_true`` marks only the true
+    code of each assigned variable, and a code is false when its negation is
+    marked, so an assignment and its undo each write one slot.
 
     A clause copy is a code list in written order, stored as it is and only
     read: load maps literal sequences, and the DIMACS reader, given ``_code``
@@ -45,7 +45,8 @@ class CheckerState:
     tell the two apart. ``_ids`` and the occurrence lists hold clauses of
     every length alike, so RAT candidates, deletions and ``-v`` lines do not
     depend on how a clause propagates. A clause of three or more literals is
-    watched at positions 0 and 1; a binary clause {a, b} is watched nowhere,
+    watched at positions 0 and 1, and a falsified watch tries position 2
+    before it searches the rest; a binary clause {a, b} is watched nowhere,
     as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
     reads before a falsified code's watches. No parsed literal is kept. Unit
     clauses are never watched, as unit deletions are ignored: their codes are
@@ -60,7 +61,7 @@ class CheckerState:
         self._code = Memo(self._new_variable)
         self._code[0] = None  # the clause terminator, so that a reader maps a whole run
         self._literal: list[int] = []  # by code: signed literal
-        self._values: list[int] = []  # by code: TRUE, FALSE or UNASSIGNED
+        self._true: list[int] = []  # by code: 1 if the code is true, else 0; false when its negation is true
         self._watches: list[list[list[int]]] = []  # by code: code lists watching it
         # by code: the other codes of its binary clauses; the shared () until the first
         self._implied: list[list[int] | tuple[()]] = []
@@ -78,11 +79,11 @@ class CheckerState:
     def _new_variable(self, lit: int) -> int:
         """Give the variable of lit, seen for the first time, its two codes; each signed
         literal is one int object, both a key of _code and an item of _literal."""
-        first = len(self._values)
+        first = len(self._true)
         var, negative = abs(lit), -abs(lit)
         self._code[var], self._code[negative] = first, first + 1
         self._literal += (var, negative)
-        self._values += (UNASSIGNED, UNASSIGNED)
+        self._true += (0, 0)
         self._watches += ([], [])
         self._implied += ((), ())
         if self._occurs is not None:
@@ -171,7 +172,7 @@ class CheckerState:
         """The occurrence lists, built oldest first on first use."""
         ids = self._index()
         if self._occurs is None:
-            self._occurs = [[] for _ in self._values]
+            self._occurs = [[] for _ in self._true]
             for codes in ids.values():
                 for code in codes:
                     self._occurs[code].append(codes)
@@ -207,20 +208,19 @@ class CheckerState:
     # -- unit propagation ----------------------------------------------------
 
     def _conflict(self, assumed: list[int], keep: bool = False) -> bool:
-        # propagates on top of the trail, a fixpoint, and cuts it back to
-        # where it was, unless keep asks to leave a conflict-free fixpoint
+        # propagates on top of the trail, a fixpoint, and cuts it back to where it was, unless
+        # keep asks to leave a conflict-free fixpoint; an assignment marks its true code alone
         if self._empty_copies:
             return True
-        values, trail = self._values, self._trail
+        true, trail = self._true, self._trail
         start = len(trail)
         conflict = False
         for code in assumed if start else assumed + self._units:
-            value = values[code]
-            if value == FALSE:
+            if true[code ^ 1]:
                 conflict = True
                 break
-            if value == UNASSIGNED:
-                values[code], values[code ^ 1] = TRUE, FALSE
+            if not true[code]:
+                true[code] = 1
                 trail.append(code)
         if not conflict:
             conflict = self._propagate_watches(start)
@@ -229,20 +229,20 @@ class CheckerState:
         return conflict
 
     def _undo(self, start: int) -> None:
-        values, trail = self._values, self._trail
+        true, trail = self._true, self._trail
         for code in islice(trail, start, None):
-            values[code] = values[code ^ 1] = UNASSIGNED
+            true[code] = 0
         del trail[start:]
 
     def _propagate_watches(self, start: int) -> bool:
-        values, trail, watches, implied = self._values, self._trail, self._watches, self._implied
+        true, trail, watches, implied = self._true, self._trail, self._watches, self._implied
         for assigned in islice(trail, start, None) if start else trail:  # and codes appended
             falsified = assigned ^ 1
             for other in implied[falsified]:
-                if values[other] == FALSE:
-                    return True
-                if values[other] == UNASSIGNED:
-                    values[other], values[other ^ 1] = TRUE, FALSE
+                if not true[other]:
+                    if true[other ^ 1]:
+                        return True
+                    true[other] = 1
                     trail.append(other)
             watchers = watches[falsified]
             if not watchers:
@@ -255,23 +255,28 @@ class CheckerState:
                     # the ints held in _code, where a fresh int would not
                     other = lits[1]
                     lits[0], lits[1] = other, lits[0]
-                if values[other] == TRUE:
+                if true[other]:
                     kept.append(lits)
                     continue
-                for k in range(2, len(lits)):
+                # a watched clause has a third literal, the search's first try: probing it builds no range
+                lit = lits[2]
+                if not true[lit ^ 1]:  # not false: move this watch from the falsified literal to lit
+                    lits[1], lits[2] = lit, lits[1]
+                    watches[lit].append(lits)
+                    continue
+                for k in range(3, len(lits)):
                     lit = lits[k]
-                    if values[lit] != FALSE:
-                        # move this watch from the falsified literal to lit
+                    if not true[lit ^ 1]:
                         lits[1], lits[k] = lit, lits[1]
                         watches[lit].append(lits)
                         break
                 else:
                     kept.append(lits)
-                    if values[other] == FALSE:
+                    if true[other ^ 1]:
                         kept += watchers[watchers.index(lits) + 1 :]
                         watches[falsified] = kept
                         return True
-                    values[other], values[other ^ 1] = TRUE, FALSE
+                    true[other] = 1
                     trail.append(other)
             watches[falsified] = kept
         return False

@@ -235,6 +235,25 @@ def rat_replay_case(rng, max_var=7):
     return clauses, steps
 
 
+def long_replay_case(rng, max_var=6):
+    """A formula of clauses of 3 to 6 literals only, all watched, and a proof
+    mixing a refutation (when the formula has one) with deletions of formula
+    clauses, in any literal order, and random lemmas of 1 to 6 literals."""
+    clauses = random_clause_list(rng, rng.randint(20, 90), max_var=max_var, min_len=3, max_len=6)
+    lemmas = refutation_steps(clauses, rng) or []
+    pool, steps = list(clauses), []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.3 and pool:
+            clause = pool.pop(rng.randrange(len(pool)))
+            steps.append(("d", tuple(rng.sample(clause, len(clause)))))
+        elif roll < 0.7 and lemmas:
+            steps.append(("a", lemmas.pop(0)))
+        else:
+            steps.append(("a", random_clause_lits(rng, max_var=max_var, min_len=1, max_len=6)))
+    return clauses, steps + [("a", lits) for lits in lemmas]
+
+
 def binary_replay_case(rng, max_var=6):
     """A formula of mostly binary clauses, some in two or three copies, and
     a proof that deletes copies one at a time, adds deleted clauses back,
@@ -285,7 +304,7 @@ def assert_store_invariants(state):
     slot is a list or the shared (). Built occurrence lists hold the
     indexed clauses in store order. Surplus copies are counted for indexed
     clauses only."""
-    assert state._trail == [] and not any(state._values)
+    assert state._trail == [] and not any(state._true)
     indexed, pending = list(state._ids.values()), state._pending
     assert not {id(codes) for codes in pending} & {id(codes) for codes in indexed}
     assert all(key == tuple(sorted(codes)) for key, codes in state._ids.items())
@@ -299,7 +318,7 @@ def assert_store_invariants(state):
     implied = [(code, other) for code, others in enumerate(state._implied) for other in others]
     binary = [(codes[0], codes[1]) for codes in live if len(codes) == 2]
     assert sorted(implied) == sorted(binary + [(b, a) for a, b in binary])
-    assert len(state._implied) == len(state._values)
+    assert len(state._implied) == len(state._true)
     assert all(type(others) is list or others == () for others in state._implied)
     if state._occurs is not None:
         for code, occurrences in enumerate(state._occurs):

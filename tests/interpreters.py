@@ -16,8 +16,14 @@ Each interpreter runs ``python -m dratcheck`` with src on PYTHONPATH, on:
   and with every space made a tab, which forces the token path, and both
   must print the same. The fast path rests on each CPython's JSON scanner.
 
-Every transcript must also equal the first interpreter's. The script needs
-only the standard library, and exits 1 on any difference.
+Every transcript must also equal the first interpreter's. Each interpreter
+also measures, in a child with tracemalloc, the two memory bounds that
+tests/test_streaming.py asserts: one binary record of 100,000 literals keeps
+under LONG_RECORD_BYTES per literal more than the same literals in records of
+100, and steps after the empty clause leave the peak of ``check``, ``check -v``
+and both ``convert`` directions within HELD_STEPS_BYTES from 5,000 to 20,000
+steps. The script needs only the standard library, and exits 1 on any
+difference or bound exceeded.
 """
 
 from __future__ import annotations
@@ -75,6 +81,77 @@ def _edges():
 EDGES = _edges()
 
 
+LONG_RECORD_BYTES = 80
+HELD_STEPS_BYTES = 32 * 1024
+PADDED_COMMANDS = ["check", "check -v", "convert --to binary", "convert --to plain"]
+
+
+def memory_bounds():
+    """(bytes per literal that one long binary record keeps over the same literals in short records,
+    {command: the change in its peak from 5,000 to 20,000 steps after the empty clause}), measured with
+    tracemalloc in this interpreter, as tests/test_streaming.py measures them."""
+    import contextlib
+    import io
+    import random
+    import tracemalloc
+
+    from dratcheck.cli import main
+    from dratcheck.proofio import parse_binary_proof, parse_plain_proof, serialize_binary
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def check_run(argv):
+        status = main(argv)
+        if status:
+            raise RuntimeError("%s exited %d" % (" ".join(argv), status))
+
+    rng = random.Random(3)
+    lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, 10**6), 100_000)]
+    one = serialize_binary([(False, lits)])
+    many = serialize_binary([(False, lits[i : i + 100]) for i in range(0, len(lits), 100)])
+    long_record = peak(lambda: parse_binary_proof(one)) - peak(lambda: parse_binary_proof(many))
+    held = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        (folder / "formula.cnf").write_bytes(b"p cnf 2 3\n1 2 0\n1 0\n-1 0\n")
+        for command in PADDED_COMMANDS:
+            peaks = []
+            for steps in (1, 5_000, 20_000):
+                plain = b"0\n" + b"d 1 2 0\n" * (steps - 1)  # deletions that check reads but never applies
+                proof = folder / ("proof-%d" % steps)
+                binary = command == "convert --to plain"
+                proof.write_bytes(serialize_binary(parse_plain_proof(plain)) if binary else plain)
+                if command.startswith("check"):
+                    argv = [*command.split(), str(folder / "formula.cnf"), str(proof)]
+                else:
+                    argv = ["convert", str(proof), *command.split()[1:], "-o", str(folder / "out")]
+                peaks.append(peak(lambda: check_run(argv)))  # the first call imports what the command needs
+            held[command] = peaks[2] - peaks[1]
+    return long_record / len(lits), held
+
+
+def memory(python) -> tuple[str, list[str]]:
+    """(memory_bounds of one interpreter as a line of text, the bounds it exceeds)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    done = subprocess.run([python, "-c", "import interpreters, json; print(json.dumps(interpreters.memory_bounds()))"],
+                          env=env, capture_output=True, text=True)
+    if done.returncode:
+        return "memory bounds not measured", ["memory bounds: " + done.stderr.strip()]
+    per_literal, held = json.loads(done.stdout)
+    line = "long record %.1f bytes per literal over short ones (bound %d); peak change with steps after the empty " \
+           "clause %s bytes (bound %d)" % (per_literal, LONG_RECORD_BYTES, held, HELD_STEPS_BYTES)
+    failures = ["long record keeps %.1f bytes per literal" % per_literal] if per_literal >= LONG_RECORD_BYTES else []
+    return line, failures + ["%s holds %d bytes of steps after the empty clause" % (command, change)
+                             for command, change in held.items() if abs(change) >= HELD_STEPS_BYTES]
+
+
 def _run(python, args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([python, "-m", "dratcheck", *args], cwd=cwd, env=env, capture_output=True)
@@ -128,10 +205,13 @@ def main(pythons) -> int:
         version = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"], capture_output=True,
                                  text=True).stdout.strip()
         got, failures = transcripts(python)
+        measured, exceeded = memory(python)
         if first is None:
             first = got
         failures += ["differs from the first interpreter: " + name for name in got if got[name] != first.get(name)]
+        failures += exceeded
         print("%s (%s): %d transcripts, %d failures" % (python, version, len(got), len(failures)))
+        print("  " + measured)
         for failure in failures:
             print("  " + failure)
         failed |= bool(failures)

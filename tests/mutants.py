@@ -67,10 +67,16 @@ MUTANTS = [
      None),
     # propagation
     ("no conflict on an implication", CHECKER,
-     "                if values[other] == FALSE:\n                    return True\n", "", None),
+     "                    if true[other ^ 1]:\n                        return True\n", "", None),
     ("no conflict at the watch loop's exit", CHECKER,
-     "                    if values[other] == FALSE:\n                        kept +=",
+     "                    if true[other ^ 1]:\n                        kept +=",
      "                    if False:\n                        kept +=", None),
+    ("the third literal's watch not moved", CHECKER,
+     "lits[1], lits[2] = lit, lits[1]\n                    watches[lit].append(lits)\n",
+     "lits[1], lits[2] = lit, lits[1]\n", None),
+    ("the later search starts one position late", CHECKER, "range(3,", "range(4,", None),
+    ("_undo leaves a mark set", CHECKER, "for code in islice(trail, start, None):\n            true[code] = 0",
+     "for code in islice(trail, start + 1, None):\n            true[code] = 0", None),
     ("units not asserted", CHECKER,
      "for code in assumed if start else assumed + self._units:", "for code in assumed:", None),
     # the RAT stage

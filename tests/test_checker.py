@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -25,8 +27,10 @@ from conftest import (
     check_at,
     check_rat,
     loaded,
+    long_replay_case,
     propagate,
     random_clause_list,
+    random_clause_lits,
     random_replay_case,
     rat_replay_case,
     refutation_steps,
@@ -60,7 +64,7 @@ def test_propagate_restores_state():
     state = loaded(PAPER_CLAUSES)
     assert state.check_at([-1, 2, -3]) is True
     assert state._trail == []
-    assert all(v == 0 for v in state._values)
+    assert all(v == 0 for v in state._true)
     # and the same state answers again identically
     assert state.check_at([-1, 2, -3]) is True
     assert state.check_at([]) is False
@@ -690,6 +694,62 @@ def test_binary_heavy_proofs_agree_with_the_slow_path_replay():
     assert min(seen.values()) >= 20, seen
 
 
+def kernel_branch_lines():
+    """The first line of each branch of the watch loop in CheckerState._propagate_watches, by name."""
+    lines, first = inspect.getsourcelines(CheckerState._propagate_watches)
+
+    def line(text, which=0):
+        return [first + i for i, source in enumerate(lines) if source.strip() == text][which]
+
+    return {
+        "first watch true": line("if true[other]:") + 1,
+        "replacement at position 2": line("lits[1], lits[2] = lit, lits[1]"),
+        "replacement at position 3 or later": line("lits[1], lits[k] = lit, lits[1]"),
+        "unit": line("true[other] = 1", -1),  # the implication loop's assignment comes first
+        "conflict": line("kept += watchers[watchers.index(lits) + 1 :]"),
+    }
+
+
+def lines_run(function, call):
+    """call()'s result, and how often each line of function ran during it."""
+    code, counts = function.__code__, {}
+
+    def count(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] = counts.get(frame.f_lineno, 0) + 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        return call(), counts
+    finally:
+        sys.settrace(previous)
+
+
+def test_proofs_over_long_clauses_agree_with_the_slow_path_replay_through_every_watch_branch():
+    # every clause is watched, so each verdict rests on the watch loop alone
+    rng = random.Random(127)
+    branches = kernel_branch_lines()
+    seen = dict.fromkeys(branches, 0)
+    verdicts = dict.fromkeys((VERIFIED, REJECTED, NO_EMPTY_CLAUSE), 0)
+    for _ in range(200):
+        clauses, steps = long_replay_case(rng)
+        proof = [(kind == "d", list(lits)) for kind, lits in steps]
+        report, counts = lines_run(CheckerState._propagate_watches, lambda: check_proof(clauses, proof))
+        verdict, step, warned = replay_naive(clauses, steps)
+        assert (report.verdict, report.step) == (verdict, step), (clauses, steps)
+        assert [w.step for w in report.warnings] == warned
+        if verdict == REJECTED and steps[step - 1][1]:
+            database = list(naive_store(clauses, steps[: step - 1]))
+            assert report.failed_resolvent == naive_failed_resolvent(database, steps[step - 1][1]), (clauses, steps)
+        assert checker_module.check_records(loaded_state(write_dimacs(clauses)), proof) == report
+        verdicts[verdict] += 1
+        for name, line in branches.items():
+            seen[name] += line in counts
+    assert min(seen.values()) >= 20 and min(verdicts.values()) >= 20, (seen, verdicts)
+
+
 def test_clauses_of_three_or_more_literals_give_no_code_an_implication_list():
     rng = random.Random(101)
     clauses = random_clause_list(rng, 3000, max_var=2000, min_len=3, max_len=5)
@@ -698,7 +758,7 @@ def test_clauses_of_three_or_more_literals_give_no_code_an_implication_list():
     state.check_rat([-lit for lit in clauses[1]])  # propagates, then builds the occurrence lists
     assert state._occurs is not None
     # one shared empty tuple, not a list per code
-    assert state._implied[0] == () and len(state._implied) == len(state._values) > 3000
+    assert state._implied[0] == () and len(state._implied) == len(state._true) > 3000
     assert all(others is state._implied[0] for others in state._implied)
     state.load([(clauses[0][0], -clauses[0][1])])
     assert sum(type(others) is list for others in state._implied) == 2
@@ -726,10 +786,32 @@ def test_a_deleted_binary_clause_implies_nothing_afterwards():
     assert pairs == {(-2, 3), (3, -2)}
     assert not state.check_at([-1, 3])
     assert not state.check_at([-1], _keep=True)
-    assert state._values[state._code[1]] == checker_module.TRUE
-    assert state._values[state._code[2]] == checker_module.UNASSIGNED
+    true, code = state._true, state._code
+    assert true[code[1]] == 1 and true[code[-1]] == 0
+    assert true[code[2]] == true[code[-2]] == 0  # variable 2 is unassigned: neither of its codes is marked
     state._undo(0)
     assert state.apply_delete([-1, 2], 3).kind == WARN_DELETED_MISSING
+
+
+def test_a_kept_fixpoint_marks_exactly_the_codes_on_its_trail():
+    # only a true code is marked, and a code reads false by its negation's mark
+    rng = random.Random(131)
+    implied = 0
+    for _ in range(300):
+        clauses = random_clause_list(rng, rng.randint(2, 24), max_var=8, min_len=1, max_len=5)
+        state = loaded(clauses)
+        assumed = random_clause_lits(rng, max_var=9, min_len=0, max_len=3)
+        true, trail = state._true, state._trail
+        if state.check_at(assumed, _keep=True):
+            assert trail == [] and not any(true)
+            continue
+        assert sorted(trail) == sorted(code for code, mark in enumerate(true) if mark), (clauses, assumed)
+        assert set(true) <= {0, 1} and len(set(trail)) == len(trail)
+        assert not any(true[code] and true[code ^ 1] for code in range(0, len(true), 2)), (clauses, assumed)
+        implied += len(trail) > len(assumed)
+        state._undo(0)
+        assert trail == [] and not any(true)
+    assert implied >= 50, implied
 
 
 def test_store_invariants_hold_after_every_step():
@@ -922,13 +1004,13 @@ def test_the_check_path_sorts_no_clause_canonically(monkeypatch, tmp_path, capsy
 
 def test_deleting_a_clause_with_an_unseen_variable_creates_no_variable():
     state = loaded_state("p cnf 3 2\n1 2 0\n-2 3 0\n")
-    variables = len(state._values)
+    variables = len(state._true)
     trace = []
     state.trace = trace.append
     for number, lits in enumerate(([1, 4], [2**31 - 1, -2], [9, 10**7, 3]), start=1):
         warning = state.apply_delete(lits, number)
         assert warning is not None and warning.kind == WARN_DELETED_MISSING
-    assert len(state._values) == variables
+    assert len(state._true) == variables
     assert state.clause_counts() == {(1, 2): 1, (-2, 3): 1}
     assert trace[0] == "delete (1 4): not in formula, ignored"
 

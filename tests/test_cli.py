@@ -222,7 +222,7 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     monkeypatch.setattr(checker, "check_records", capture)
     assert main(["check", str(formula), str(proof)]) == 1
     (state,) = states
-    assert type(state) is checker.CheckerState and len(state._values) == 600
+    assert type(state) is checker.CheckerState and len(state._true) == 600
     memo = {id(code) for code in state._code.values()}
     ids = state._index()
     held = [code for key in ids for code in key]
