@@ -32,9 +32,9 @@ class CheckerState:
     marked, so an assignment and its undo each write one slot.
 
     A clause copy is a code list in written order, stored as it is and only
-    read: load maps literal sequences, and the DIMACS reader, given ``_code``
-    (where the terminator 0 maps to None), yields exact-size slices of each
-    run's codes. A non-empty copy propagates at once and waits in
+    read: load maps literal sequences into one batch, and the DIMACS reader,
+    given ``_code`` (where 0 maps to None), yields a batch of exact-size slices
+    of each run's codes. A non-empty copy propagates at once and waits in
     ``_pending``. ``_ids``, the deletion index, maps each clause's sorted
     codes, the ints held in ``_code``, to its code list, so any order of the
     same literals finds it. It is a cache that ``_index`` brings up to date on
@@ -100,26 +100,27 @@ class CheckerState:
         """Add one copy of each clause, a duplicate-free literal sequence; duplicate
         clauses and the empty clause included (see _store)."""
         code_of = self._code.__getitem__
-        self._store([*map(code_of, clause)][:] for clause in clauses)  # a slice is allocated at its exact size
+        self._store(([[*map(code_of, clause)][:] for clause in clauses],))  # a slice is allocated at its exact size
 
-    def _store(self, clauses) -> None:
-        """Add one copy of each clause, a list of codes from _code that the store keeps as it is.
-        A copy propagates at once, and waits in _pending for _index to key it."""
+    def _store(self, batches) -> None:
+        """Add one copy of each clause of each batch, a list of code lists from _code that the store keeps as they
+        are. An empty clause is only counted; any other copy propagates at once, and waits in _pending for _index."""
         watches, units, implied, pending = self._watches, self._units, self._implied, self._pending
-        for codes in clauses:
-            if not codes:
-                self._empty_copies += 1
-                continue
-            pending.append(codes)
-            if len(codes) == 1:
-                units.append(codes[0])
-            elif len(codes) == 2:
-                for code, other in (codes, codes[::-1]):
-                    implied[code] = implied[code] or []
-                    implied[code].append(other)
-            else:
-                watches[codes[0]].append(codes)
-                watches[codes[1]].append(codes)
+        for batch in batches:
+            if [] in batch:
+                self._empty_copies += batch.count([])
+                batch = [codes for codes in batch if codes]
+            pending += batch
+            for codes in batch:
+                if len(codes) > 2:
+                    watches[codes[0]].append(codes)
+                    watches[codes[1]].append(codes)
+                elif len(codes) == 2:
+                    for code, other in (codes, codes[::-1]):
+                        implied[code] = implied[code] or []
+                        implied[code].append(other)
+                else:
+                    units.append(codes[0])
 
     def _index(self) -> dict[tuple[int, ...], list[int]]:
         """_ids, brought up to date with the pending copies in load order: a copy

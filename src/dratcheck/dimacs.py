@@ -36,7 +36,7 @@ def _parse_header(reader: Lines):
 
 def clause_records(data, code=None):
     """Yield each clause copy of a DIMACS formula (bytes or a binary file) in written order, as its literal
-    list or, given a CheckerState's code map, as the list of its codes, which the state stores as it is.
+    list or, given a CheckerState's code map, as one batch per run for its _store: its clauses' code lists.
 
     Comment lines are skipped anywhere; blanks are space, tab, newline and a
     carriage return before a newline, so a clause may span lines and several

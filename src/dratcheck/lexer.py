@@ -7,8 +7,8 @@ belongs to a token. Each block is checked and converted with C-level bytes opera
 a line number and byte offset is worked out only for an error, from the block that holds it.
 The fast path: a block whose non-comment text is decimal tokens with one space between them and
 no "-0" becomes its ints in one call of the JSON scanner, which refuses a leading zero, "+", "--"
-and a lone "-" as the token path does, and reads one value per token. A block it refuses, or with
-a literal over the limit, takes the token path: records, errors and locations are the same either way.
+and a lone "-" as the token path does, and reads one value per token. A block it refuses, or with a literal
+over the limit and no code map, takes the token path: records, errors and locations are the same either way.
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ class Lines:
         return self.error(message, number + lines + 1, offset + start + column)
 
     def clauses(self, limit: int = MAX_LITERAL, deletes: bool = False, code=None):
-        """Yield each clause ended by a 0 token, its literal list or, given a code map, a slice of its run's codes
-        (see CheckerState), or, if deletes allows a ``d`` prefix, (delete, clause); return how many.
+        """Yield each clause ended by a 0 token: its literal list, (delete, clause) if deletes allows a ``d`` prefix,
+        or, given a code map, one list per run of its clauses' code slices (see CheckerState); return how many.
 
-        Errors, a literal whose variable is above limit among them, are raised in input order. A
-        repeated variable, or a clause left open at the end of the input, is located at the clause's
-        first token, which is its ``d`` prefix if it has one. A token's location is made only for an
-        error. A clause still open after a run is extended by the next one's literals, never re-read.
-        Reading goes on from the first line not read.
+        Errors, a literal whose variable is above limit among them, are raised in input order; given a code
+        map, only a variable new to it is checked against limit. A repeated variable, or a clause left open at
+        the end of the input, is located at the clause's first token, which is its ``d`` prefix if it has one. A
+        token's location is made only for an error. A clause still open after a run is extended by the next
+        one's literals, never re-read. Reading goes on from the first line not read.
         """
         pending: list[int] = []
         delete = False
@@ -106,14 +106,18 @@ class Lines:
                 joined = text.replace(b"\n", b" ")
             else:
                 joined = b" ".join([line for line in text.split(b"\n") if line[:1] != b"c"])
-            for at, values, bad in _runs(joined, limit, deletes):
+            for at, values, bad in _runs(joined, limit if code is None else None, deletes):  # None: no bound
                 if values is None:  # a "d" at the at-th token
                     if where is not None:
                         raise self._bad_token(b"d", (block, first, at), limit, deletes)
                     delete, where = True, (block, first, at)
                     continue
+                known = len(code or ())  # only a variable that mapping the run adds to code can be over the bound
                 codes = values if code is None else [*map(code.__getitem__, values)]
-                ends, done = values.count(0), 0
+                if len(code or ()) > known and max(itertools.islice(reversed(code), len(code) - known)) > limit:
+                    over = next(k for k, v in enumerate(values) if abs(v) > limit)
+                    values, bad = values[:over], b"%d" % values[over]
+                ends, done, batch = values.count(0), 0, []
                 for _ in range(ends):
                     zero = values.index(0, done)
                     lits = values[done:zero]
@@ -123,8 +127,13 @@ class Lines:
                         clause = lits if code is None else [*map(code.__getitem__, lits)][:]
                     if len(set(map(abs, lits))) != len(lits):
                         raise self.located(repeated_variable(lits), where or (block, first, at + done))
-                    yield (delete, clause) if deletes else clause
+                    if code is None:
+                        yield (delete, clause) if deletes else clause
+                    else:
+                        batch.append(clause)
                     delete, done, where = False, zero + 1, None
+                if batch:
+                    yield batch
                 found += ends
                 if done < len(values):  # a clause goes on past this run: extended, never re-read
                     where = where or (block, first, at + done)
@@ -153,7 +162,7 @@ def _runs(joined, limit, deletes):
     if not joined.translate(None, _DIGITS + b" ") and b"-0" not in joined:  # the fast path (see above)
         try:
             values = json.loads(b"[" + joined.strip(b" ").replace(b" ", b",") + b"]")
-            if not values or max(values) <= limit and min(values) >= -limit:
+            if limit is None or not values or max(values) <= limit and min(values) >= -limit:
                 yield 0, values, None
                 return
         except ValueError:
@@ -184,7 +193,7 @@ def _runs(joined, limit, deletes):
         if values is None:
             bad = next((k for k, t in enumerate(run) if not _LITERAL.fullmatch(t)), None)
             values = [*map(int, run[:bad])]
-        if values and (max(values) > limit or min(values) < -limit):
+        if limit is not None and values and (max(values) > limit or min(values) < -limit):
             bad = next(k for k, v in enumerate(values) if abs(v) > limit)
             del values[bad:]
         yield at, values, None if bad is None else run[bad]

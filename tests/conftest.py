@@ -294,8 +294,9 @@ def assert_store_invariants(state):
     """The store as it stands, without bringing the index up to date.
 
     No assignment is left. The live copies are the indexed clauses plus
-    the pending copies, and no pending copy is indexed; each index key is
-    its clause's sorted codes. Each live copy is attached exactly once: a
+    the pending copies, and no pending copy is indexed; none is empty, as an
+    empty clause is only counted; each index key is its clause's sorted
+    codes. Each live copy is attached exactly once: a
     unit puts its code in the unit list, once more for each surplus copy
     merged into it, which stays asserted; a clause of three or more literals
     is watched at its positions 0 and 1, once each, and nowhere else; a
@@ -309,7 +310,7 @@ def assert_store_invariants(state):
     assert not {id(codes) for codes in pending} & {id(codes) for codes in indexed}
     assert all(key == tuple(sorted(codes)) for key, codes in state._ids.items())
     live = indexed + pending
-    assert len({id(codes) for codes in live}) == len(live)
+    assert len({id(codes) for codes in live}) == len(live) and all(live)
     units = [codes[0] for codes in live if len(codes) == 1 for _ in range(1 + state._surplus.get(id(codes), 0))]
     assert sorted(state._units) == sorted(units)
     watched = [(code, id(codes)) for code, watchers in enumerate(state._watches) for codes in watchers]

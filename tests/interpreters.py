@@ -12,9 +12,11 @@ Each interpreter runs ``python -m dratcheck`` with src on PYTHONPATH, on:
 - the worked example: ``check`` verifies it, and ``convert`` takes its proof
   and the two-step conversion example to binary and back, byte for byte;
 - EDGES, the fixed edge blocks of the differential test of the lexer's two
-  conversion paths (tests/test_fastpath.py): each input is read as written
-  and with every space made a tab, which forces the token path, and both
-  must print the same. The fast path rests on each CPython's JSON scanner.
+  conversion paths (tests/test_fastpath.py), and the formulas with a
+  literal over the declared maximum that the command line's reader finds
+  by checking only new variables: each input is read as written and with
+  every space made a tab, which forces the token path, and both must print
+  the same. The fast path rests on each CPython's JSON scanner.
 
 Every transcript must also equal the first interpreter's. Each interpreter
 also measures, in a child with tracemalloc, the two memory bounds that
@@ -58,10 +60,20 @@ CONVERSION_BINARY = bytes.fromhex("64 7f 83 80 01 00 61 82 02 ff 7f 00".replace(
 # tokens that only one conversion path could take for a literal: each is an error
 EDGE_TOKENS = [b"-0", b"00", b"01", b"-", b"--1", b"1-2", b"1" * 4301, b"2147483648"]
 
+# formulas with a literal over the declared maximum where the command line's reader, which checks only the
+# variables new to the checker's code map, could miss it or report another token: (name, formula, proof)
+OVER_MAXIMUM = [
+    ("formula, over the maximum, a new variable first seen negative", b"p cnf 3 2\n1 -2 0\n3 -4 0\n", b""),
+    # over 16 KiB of known variables first, so that the last line is read in a later block, a run of its own
+    ("formula, over the maximum, in a run of known variables", b"p cnf 3 2001\n" + b"1 -2 3 0\n" * 2000 + b"-3 2 4 0\n",
+     b""),
+    ("formula, over the maximum, after a repeated variable", b"p cnf 3 2\n1 -2 -1 0 4 0\n", b""),
+]
+
 
 def _edges():
     """(name, formula, proof): each edge token in a formula, in a proof without "d" and in one with it, alone
-    on a line and after clauses on the same line; and a literal over the formula's declared maximum."""
+    on a line and after clauses on the same line; a literal over the formula's declared maximum; OVER_MAXIMUM."""
     cases = []
     for token in EDGE_TOKENS + [b"6"]:
         name = token[:12].decode()
@@ -75,7 +87,7 @@ def _edges():
                 ("proof, with d, %s" % name, b"p cnf 5 0\n", b"1 2 0\nd 1 2 0 d " + token + b" 0\n"),
             ]
     cases.append(("valid formula and proof", b"p cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n", b"d 1 2 0 2 0\n0\n"))
-    return cases
+    return cases + OVER_MAXIMUM
 
 
 EDGES = _edges()

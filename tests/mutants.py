@@ -105,11 +105,22 @@ MUTANTS = [
      "                if len(codes) > 1:  # units are never deleted, and asserting a code twice sets it once\n"
      "                    merged.append(codes)\n",
      "                merged.append(codes) if len(codes) > 1 else self._units.remove(codes[0])\n", None),
+    ("an empty clause left in the batch for _pending", CHECKER,
+     "            if [] in batch:\n                self._empty_copies += batch.count([])\n"
+     "                batch = [codes for codes in batch if codes]\n            pending += batch\n",
+     "            pending += batch\n            if [] in batch:\n"
+     "                self._empty_copies += batch.count([])\n                batch = [codes for codes in batch if codes]\n",
+     None),
     # the lexer's fast path and the formula path's codes
     ("no '-0' guard before the JSON scanner", LEXER, ' and b"-0" not in joined:  # the fast path',
      ":  # the fast path", None),
     ("no limit check on the fast path", LEXER,
-     "if not values or max(values) <= limit and min(values) >= -limit:", "if True:", None),
+     "if limit is None or not values or max(values) <= limit and min(values) >= -limit:", "if True:", None),
+    ("no limit check on the formula path", LEXER,
+     "if len(code or ()) > known and max(itertools.islice(reversed(code), len(code) - known)) > limit:", "if False:",
+     None),
+    ("the formula path's limit checked on every variable", LEXER,
+     "max(itertools.islice(reversed(code), len(code) - known))", "max(code)", None),
     ("a clause joined across runs yielded as literals", LEXER,
      "clause = lits if code is None else [*map(code.__getitem__, lits)][:]", "clause = lits", None),
     # the lexer's token path

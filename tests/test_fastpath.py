@@ -4,9 +4,10 @@ A block of decimal tokens with one space between them takes one call of the
 JSON scanner; any other block, one with a tab among them, takes the token
 path. Each input is read as written and with every space made a tab, and
 both reads must give equal records or the same error, line and byte. The
-command line stores a formula's clauses as the slices of codes that the
-DIMACS reader makes; that store must equal the one load builds from the
-same literal lists.
+command line stores a formula's clauses as the batches of code slices that
+the DIMACS reader makes; that store must equal the one load builds from the
+same literal lists, and that reader, which checks only the variables new to
+the code map against the header's maximum, must raise the same errors.
 """
 
 import sys
@@ -23,7 +24,7 @@ from dratcheck.proofio import ProofError, parse_plain_proof
 import conftest
 import interpreters
 from conftest import assert_store_invariants
-from interpreters import EDGE_TOKENS, EDGES
+from interpreters import EDGE_TOKENS, EDGES, OVER_MAXIMUM
 
 VAR_MAX = 5
 
@@ -97,6 +98,51 @@ def test_each_edge_block_reads_alike_on_both_paths(name, formula, proof):
     if name != "valid formula and proof":  # every other case is an error
         outcome = read(parse_dimacs, formula) if name.startswith("formula") else read(parse_plain_proof, proof)
         assert isinstance(outcome, tuple), outcome
+
+
+def _stored(data):
+    state = CheckerState()
+    state._store(clause_records(data, state._code))
+    return state
+
+
+def assert_the_formula_path_agrees(data):
+    """The command line's path into the store raises what parse_dimacs raises, or stores what it reads."""
+    expected, got = read(parse_dimacs, data), read(_stored, data)
+    if isinstance(expected, tuple) or isinstance(got, tuple):
+        assert got == expected, data[:200]
+    else:
+        loaded = CheckerState()
+        loaded.load(expected)
+        _same_store(got, loaded)
+
+
+@given(texts(deletes=False), st.sampled_from([None, 7, 40]))
+@settings(max_examples=300, deadline=None)
+def test_a_formula_raises_alike_on_the_formula_path(body, size):
+    formula = b"p cnf %d %d\n" % (VAR_MAX, _zeros(body)) + body
+    with pytest.MonkeyPatch.context() as patch:
+        if size:
+            patch.setattr(lexer, "BLOCK_BYTES", size)
+        assert_the_formula_path_agrees(formula)
+        assert_the_formula_path_agrees(tabbed(formula))
+
+
+# (message, line, byte) of each OVER_MAXIMUM case; a repeated variable before the literal wins
+OVER_MAXIMUM_ERRORS = {
+    "formula, over the maximum, a new variable first seen negative":
+        ("literal -4 exceeds declared maximum variable 3", 3, 19),
+    "formula, over the maximum, in a run of known variables":
+        ("literal 4 exceeds declared maximum variable 3", 2002, 18018),
+    "formula, over the maximum, after a repeated variable": ("complementary literals 1 and -1", 2, 10),
+}
+
+
+@pytest.mark.parametrize("name,formula,proof", OVER_MAXIMUM, ids=[case[0] for case in OVER_MAXIMUM])
+def test_a_literal_over_the_maximum_is_found_on_the_formula_path(name, formula, proof):
+    for data in (formula, tabbed(formula)):
+        assert read(_stored, data) == (DimacsError, *OVER_MAXIMUM_ERRORS[name])
+        assert_the_formula_path_agrees(data)
 
 
 def test_a_clean_block_takes_one_json_call_and_a_block_with_a_tab_none(monkeypatch):

@@ -277,6 +277,12 @@ def _read_to_error(records):
         _read_all(records)
 
 
+def _stored(data):
+    state = CheckerState()
+    state._store(clause_records(data, state._code))
+    assert len(state._units) == data.count(b"\n") - 1
+
+
 def _units_twice_then_a_deletion(clauses):
     state = CheckerState()
     state.load(clauses)
@@ -291,8 +297,9 @@ def _copies_then_a_deletion(clauses):
 
 # name -> (n, the input for a size, the work timed on it). The first four spread one clause or
 # proof step over n lines, so over about n / 80 runs of the lexer in blocks of 512 bytes; the
-# next two are controls, with no record that spans the lexer's runs; the last three merge n copies,
-# the binary and ternary ones from implication and watch lists that hold every copy
+# next two are controls, with no record that spans the lexer's runs; the next stores n units of
+# new variables over many runs, whose bound check must look at each run's new variables only; the
+# last three merge n copies, the binary and ternary ones from implication and watch lists that hold every copy
 SCALING = {
     "one clause, one literal per line":
         (40_000, lambda n: b"p cnf %d 1\n" % n + _numbers(n, b"\n") + b"0\n",
@@ -310,6 +317,8 @@ SCALING = {
     "one long binary record":
         (20_000, lambda n: serialize_binary([(False, list(range(1, n + 1)))]),
          lambda data: _read_all(binary_records(data))),
+    "units of new variables, stored as the command line stores them":
+        (20_000, lambda n: b"p cnf %d %d\n" % (n, n) + _numbers(n, b" 0\n"), _stored),
     "each unit written twice, then a deletion":
         (8_000, lambda n: [(v,) for v in range(1, n + 1) for _ in "ab"], _units_twice_then_a_deletion),
     "binary clauses that share a literal, each written twice, then a deletion":
