@@ -5,10 +5,10 @@ The input is read from a binary file in blocks of whole lines, cut at ``\\n`` on
 comments. On every other line the blanks are exactly space and tab, and any other byte
 belongs to a token. Each block is checked and converted with C-level bytes operations;
 a line number and byte offset is worked out only for an error, from the block that holds it.
-The fast path: a block whose non-comment text is decimal tokens with one space between them and
-no "-0" becomes its ints in one call of the JSON scanner, which refuses a leading zero, "+", "--"
-and a lone "-" as the token path does, and reads one value per token. A block it refuses, or with a literal
-over the limit and no code map, takes the token path: records, errors and locations are the same either way.
+The fast path: a block whose non-comment text is decimal tokens with one space between them and no "-0"
+becomes its ints in one call of the JSON scanner, which refuses a leading zero, "+", "--" and a lone "-" as
+the token path does, and reads one value per token. A block it refuses takes the token path: records, errors
+and locations are the same either way. Neither path checks a bound: the reader checks what each run adds.
 """
 
 from __future__ import annotations
@@ -90,11 +90,12 @@ class Lines:
         """Yield each clause ended by a 0 token: its literal list, (delete, clause) if deletes allows a ``d`` prefix,
         or, given a code map, one list per run of its clauses' code slices (see CheckerState); return how many.
 
-        Errors, a literal whose variable is above limit among them, are raised in input order; given a code
-        map, only a variable new to it is checked against limit. A repeated variable, or a clause left open at
-        the end of the input, is located at the clause's first token, which is its ``d`` prefix if it has one. A
-        token's location is made only for an error. A clause still open after a run is extended by the next
-        one's literals, never re-read. Reading goes on from the first line not read.
+        Errors, a literal whose variable is above limit among them, are raised in input order. The bound is
+        checked once per run, on what the run adds: each literal without a code map, and each variable new to
+        the map with one. A repeated variable, or a clause left open at the end of the input, is located at the
+        clause's first token, which is its ``d`` prefix if it has one. A token's location is made only for an
+        error. A clause still open after a run is extended by the next one's literals, never re-read. Reading
+        goes on from the first line not read.
         """
         pending: list[int] = []
         delete = False
@@ -106,15 +107,16 @@ class Lines:
                 joined = text.replace(b"\n", b" ")
             else:
                 joined = b" ".join([line for line in text.split(b"\n") if line[:1] != b"c"])
-            for at, values, bad in _runs(joined, limit if code is None else None, deletes):  # None: no bound
+            for at, values, bad in _runs(joined, deletes):
                 if values is None:  # a "d" at the at-th token
                     if where is not None:
                         raise self._bad_token(b"d", (block, first, at), limit, deletes)
                     delete, where = True, (block, first, at)
                     continue
-                known = len(code or ())  # only a variable that mapping the run adds to code can be over the bound
+                known = len(code or ())  # the bound is checked on what the run adds: its literals, or new variables
                 codes = values if code is None else [*map(code.__getitem__, values)]
-                if len(code or ()) > known and max(itertools.islice(reversed(code), len(code) - known)) > limit:
+                added = values if code is None else [*itertools.islice(reversed(code), len(code) - known)]
+                if added and (max(added) > limit or min(added) < -limit):
                     over = next(k for k, v in enumerate(values) if abs(v) > limit)
                     values, bad = values[:over], b"%d" % values[over]
                 ends, done, batch = values.count(0), 0, []
@@ -156,15 +158,14 @@ class Lines:
         return self.located("literal %s exceeds declared maximum variable %d" % (text, limit), where)
 
 
-def _runs(joined, limit, deletes):
+def _runs(joined, deletes):
     """Yield (n, values, bad) for each run of literal tokens in joined, a block's non-comment text, from its n-th
-    token on: values up to its first bad token, bad, or None; or (n, None, None) for a "d" that deletes allows."""
+    token on: values up to its first bad token, bad, or None; or (n, None, None) for a "d" that deletes allows.
+    No value is checked against a bound, and each one's decimal text is its token's."""
     if not joined.translate(None, _DIGITS + b" ") and b"-0" not in joined:  # the fast path (see above)
         try:
-            values = json.loads(b"[" + joined.strip(b" ").replace(b" ", b",") + b"]")
-            if limit is None or not values or max(values) <= limit and min(values) >= -limit:
-                yield 0, values, None
-                return
+            yield 0, json.loads(b"[" + joined.strip(b" ").replace(b" ", b",") + b"]"), None
+            return
         except ValueError:
             pass
     if joined.translate(None, _DIGITS + b"d \t" if deletes else _DIGITS + b" \t"):
@@ -193,8 +194,5 @@ def _runs(joined, limit, deletes):
         if values is None:
             bad = next((k for k, t in enumerate(run) if not _LITERAL.fullmatch(t)), None)
             values = [*map(int, run[:bad])]
-        if limit is not None and values and (max(values) > limit or min(values) < -limit):
-            bad = next(k for k, v in enumerate(values) if abs(v) > limit)
-            del values[bad:]
         yield at, values, None if bad is None else run[bad]
         at = end

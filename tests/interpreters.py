@@ -58,7 +58,7 @@ CONVERSION_PLAIN = b"d -63 -8193 0\n129 -8191 0\n"
 CONVERSION_BINARY = bytes.fromhex("64 7f 83 80 01 00 61 82 02 ff 7f 00".replace(" ", ""))
 
 # tokens that only one conversion path could take for a literal: each is an error
-EDGE_TOKENS = [b"-0", b"00", b"01", b"-", b"--1", b"1-2", b"1" * 4301, b"2147483648"]
+EDGE_TOKENS = [b"-0", b"00", b"01", b"-", b"--1", b"1-2", b"1" * 4301, b"2147483648", b"-2147483648"]
 
 # formulas with a literal over the declared maximum where the command line's reader, which checks only the
 # variables new to the checker's code map, could miss it or report another token: (name, formula, proof)

@@ -114,15 +114,16 @@ MUTANTS = [
     # the lexer's fast path and the formula path's codes
     ("no '-0' guard before the JSON scanner", LEXER, ' and b"-0" not in joined:  # the fast path',
      ":  # the fast path", None),
-    ("no limit check on the fast path", LEXER,
-     "if limit is None or not values or max(values) <= limit and min(values) >= -limit:", "if True:", None),
-    ("no limit check on the formula path", LEXER,
-     "if len(code or ()) > known and max(itertools.islice(reversed(code), len(code) - known)) > limit:", "if False:",
-     None),
-    ("the formula path's limit checked on every variable", LEXER,
-     "max(itertools.islice(reversed(code), len(code) - known))", "max(code)", None),
     ("a clause joined across runs yielded as literals", LEXER,
      "clause = lits if code is None else [*map(code.__getitem__, lits)][:]", "clause = lits", None),
+    # the lexer's one check of the bound, on what each run adds
+    ("no bound check", LEXER, "if added and (max(added) > limit or min(added) < -limit):", "if False:", None),
+    ("no check of a literal below -limit", LEXER, "(max(added) > limit or min(added) < -limit)",
+     "max(added) > limit", None),
+    ("every key of the code map checked", LEXER, "reversed(code), len(code) - known)]", "reversed(code), len(code))]",
+     None),
+    ("nothing checked without a code map", LEXER, "added = values if code is None", "added = [] if code is None",
+     None),
     # the lexer's token path
     ("'-0' taken as clean", LEXER, 'clean = b"-0" not in joined and tokens', "clean = tokens", None),
     ("leading zeros taken as clean", LEXER,
@@ -130,8 +131,6 @@ MUTANTS = [
      "        )", "True", None),
     ("no duplicate-variable check in a clause", LEXER, "if len(set(map(abs, lits))) != len(lits):", "if False:",
      None),
-    ("no check of a literal below -limit", LEXER, "(max(values) > limit or min(values) < -limit)",
-     "max(values) > limit", None),
     ("a block's first-line comment read as tokens", LEXER,
      'if text[:1] != b"c" and b"\\nc" not in text:', 'if b"\\nc" not in text:', None),
     ("a block's later comment line read as tokens", LEXER,

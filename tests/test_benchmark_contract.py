@@ -6,7 +6,7 @@ check functions. A name it cannot find is left out, and so are the per-layer
 metrics that need it: the run still exits 0, but it reports fewer metrics
 than BENCHMARK.json lists and is not accepted as a result. Removing or
 renaming any name below therefore needs the benchmark change of ROADMAP
-item 2, which updates perfbench/ and BENCHMARK.json together.
+item 3, which updates perfbench/ and BENCHMARK.json together.
 """
 
 import ast

@@ -1,8 +1,12 @@
 import gc
+import hashlib
+import io
+import json
 import random
 import re
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -585,9 +589,8 @@ def test_a_plain_proof_starting_with_d_and_holding_a_zero_byte_in_a_comment_is_r
     assert output.read_bytes() == b"d\x02\x04\x00a\x00"
 
 
-@pytest.fixture(scope="module")
-def seed_7_workloads(tmp_path_factory):
-    """The files of seed 7 of every benchmark generator, written by its own encoders."""
+def _write_seed_7(root: Path) -> dict:
+    """Write the files of seed 7 of every benchmark generator under root, by its own encoders."""
     import importlib.util
     import sys
 
@@ -595,8 +598,13 @@ def seed_7_workloads(tmp_path_factory):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(workloads)
-    root = tmp_path_factory.mktemp("seed-7")
     return {name: workloads.write_files(workloads.generate(name, 7), str(root / name)) for name in workloads.WORKLOADS}
+
+
+@pytest.fixture(scope="module")
+def seed_7_workloads(tmp_path_factory):
+    """The files of seed 7 of every benchmark generator, written by its own encoders."""
+    return _write_seed_7(tmp_path_factory.mktemp("seed-7"))
 
 
 # the line convert printed for each generator's seed 7 while it read and wrote whole buffers
@@ -621,6 +629,39 @@ def test_convert_reports_the_same_byte_counts_on_seed_7_of_every_generator(seed_
         assert capsys.readouterr().out == line
         # the generators' own encoders wrote the reference bytes
         assert output.read_bytes() == Path(files[target]["path"]).read_bytes()
+
+
+# The stdout sha256 and exit code of every check and convert run below on seed 7 of every generator, committed
+# so that a change that alters a byte of output fails here. To rewrite the file from the current code, run
+# `python tests/test_cli.py` from the repository root with src on PYTHONPATH, and say in the change why it moved.
+SEED_7_DIGESTS = Path(__file__).parent / "seed_7_digests.json"
+CHECK_MODES = {"check": [], "check -v": ["-v"], "check -q": ["-q"]}
+
+
+def _digest(argv) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def _seed_7_digests(files: dict, scratch: Path) -> dict:
+    """run -> {"exit", "stdout_sha256"} for one generator's files; a convert run adds its output's sha256."""
+    runs = {}
+    for proof in ("plain", "binary", "empty", "reject"):
+        for mode, flags in CHECK_MODES.items():
+            runs["%s %s" % (mode, proof)] = _digest(["check", *flags, files["formula"]["path"], files[proof]["path"]])
+    for source, target in (("plain", "binary"), ("binary", "plain")):
+        output = scratch / ("converted-" + target)
+        run = _digest(["convert", files[source]["path"], "--to", target, "-o", str(output)])
+        run["output_sha256"] = hashlib.sha256(output.read_bytes()).hexdigest()
+        runs["convert %s --to %s" % (source, target)] = run
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(SEED_7_CONVERT_LINES))
+def test_check_and_convert_output_matches_the_committed_digests_on_seed_7(seed_7_workloads, tmp_path, name):
+    assert _seed_7_digests(seed_7_workloads[name], tmp_path) == json.loads(SEED_7_DIGESTS.read_text())[name]
 
 
 # The process entry points run without the cyclic collector and freeze the
@@ -671,3 +712,16 @@ def test_main_leaves_the_collector_as_it_is(paper_files, tmp_path, capsys):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
     assert main(["convert", str(proof), "--to", "binary", "-o", str(tmp_path / "proof.bdrat")]) == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def regenerate() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        files = _write_seed_7(Path(scratch))
+        digests = {name: _seed_7_digests(files[name], Path(scratch)) for name in sorted(files)}
+    SEED_7_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

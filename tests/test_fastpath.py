@@ -153,7 +153,7 @@ def test_a_clean_block_takes_one_json_call_and_a_block_with_a_tab_none(monkeypat
     assert parse_dimacs(formula) == parse_dimacs(tabbed(formula)) == [[1, -2], [2, 3], [-1]]
     assert calls == [b"[1,-2,0,2,3,0,-1,0]"]
     assert parse_plain_proof(b"1 2 0\n-1 0\n") == [(False, [1, 2]), (False, [-1])] and len(calls) == 2
-    # a block with a "d", a double space or a literal over the maximum takes the token path
+    # a block with a "d" or a double space takes the token path; a literal over the maximum is refused on either
     assert parse_plain_proof(b"d 1 2 0\n") == [(True, [1, 2])]
     assert parse_dimacs(b"p cnf 3 1\n1  2 0\n") == [[1, 2]] and len(calls) == 3
     assert read(parse_dimacs, b"p cnf 3 1\n1 4 0\n")[1] == "literal 4 exceeds declared maximum variable 3"
