@@ -31,35 +31,38 @@ class CheckerState:
     code of each assigned variable, and a code is false when its negation is
     marked, so an assignment and its undo each write one slot.
 
-    A clause copy is a code list in written order, stored as it is and only
-    read: load maps literal sequences into one batch, and the DIMACS reader,
-    given ``_code`` (where 0 maps to None), yields a batch of exact-size slices
-    of each run's codes. A non-empty copy propagates at once and waits in
-    ``_pending``. ``_ids``, the deletion index, maps each clause's sorted
-    codes, the ints held in ``_code``, to its code list, so any order of the
-    same literals finds it. It is a cache that ``_index`` brings up to date on
-    the first deletion, RAT stage or ``clause_counts()``, so a check that does
-    none of these builds no key. Catching up keeps one code list per distinct
-    clause, its first copy's; a later copy is counted in a sparse dict keyed
-    by the list's ``id`` and, unless a unit, leaves propagation, which cannot
-    tell the two apart. ``_ids`` and the occurrence lists hold clauses of
-    every length alike, so RAT candidates, deletions and ``-v`` lines do not
-    depend on how a clause propagates. A clause of three or more literals is
-    watched at positions 0 and 1, and a falsified watch tries position 2
-    before it searches the rest; a binary clause {a, b} is watched nowhere,
-    as ``_implied[a]`` holds b and ``_implied[b]`` holds a, which propagation
-    reads before a falsified code's watches. No parsed literal is kept. Unit
-    clauses are never watched, as unit deletions are ignored: their codes are
-    asserted whenever a propagation starts from an empty trail. Copies of the
-    empty clause turn every propagation into a conflict.
+    A clause copy is a code list in written order, which ``store`` keeps as it
+    is and only reads. ``code`` maps a signed literal to its code (and 0 to
+    None), once per clause: ``apply_add`` maps a lemma for its AT check, RAT
+    stage and store, as ``check_at`` and ``check_rat`` take codes;
+    ``check_proof`` maps its clauses into one batch, and the DIMACS reader,
+    given ``code``, yields a batch of exact-size slices of each run's codes. A
+    non-empty copy propagates at once and waits in ``_pending``. ``_ids``, the
+    deletion index, maps each clause's sorted codes, the ints held in
+    ``code``, to its code list, so any order of the same literals finds it. It
+    is a cache that ``_index`` brings up to date on the first deletion or RAT
+    stage, so a check that does none of these builds no key. Catching up keeps
+    one code list per distinct clause, its first copy's; a later copy is
+    counted in a sparse dict keyed by the list's ``id`` and, unless a unit,
+    leaves propagation, which cannot tell the two apart. ``_ids`` and the
+    occurrence lists hold clauses of every length alike, so RAT candidates,
+    deletions and ``-v`` lines do not depend on how a clause propagates. A
+    clause of three or more literals is watched at positions 0 and 1, and a
+    falsified watch tries position 2 before it searches the rest; a binary
+    clause {a, b} is watched nowhere, as ``_implied[a]`` holds b and
+    ``_implied[b]`` holds a, which propagation reads before a falsified code's
+    watches. No parsed literal is kept. Unit clauses are never watched, as
+    unit deletions are ignored: their codes are asserted whenever a
+    propagation starts from an empty trail. Copies of the empty clause turn
+    every propagation into a conflict.
     """
 
     def __init__(self):
         self.trace = None
         # signed literal -> code; the Memo holds a bound method of self, the
         # state's one reference cycle, which the command line leaves to the OS
-        self._code = Memo(self._new_variable)
-        self._code[0] = None  # the clause terminator, so that a reader maps a whole run
+        self.code = Memo(self._new_variable)
+        self.code[0] = None  # the clause terminator, so that a reader maps a whole run
         self._literal: list[int] = []  # by code: signed literal
         self._true: list[int] = []  # by code: 1 if the code is true, else 0; false when its negation is true
         self._watches: list[list[list[int]]] = []  # by code: code lists watching it
@@ -78,17 +81,17 @@ class CheckerState:
 
     def _new_variable(self, lit: int) -> int:
         """Give the variable of lit, seen for the first time, its two codes; each signed
-        literal is one int object, both a key of _code and an item of _literal."""
+        literal is one int object, both a key of code and an item of _literal."""
         first = len(self._true)
         var, negative = abs(lit), -abs(lit)
-        self._code[var], self._code[negative] = first, first + 1
+        self.code[var], self.code[negative] = first, first + 1
         self._literal += (var, negative)
         self._true += (0, 0)
         self._watches += ([], [])
         self._implied += ((), ())
         if self._occurs is not None:
             self._occurs += ([], [])
-        return self._code[lit]
+        return self.code[lit]
 
     def _literals(self, codes) -> tuple[int, ...]:
         return tuple(map(self._literal.__getitem__, codes))
@@ -96,14 +99,8 @@ class CheckerState:
     def _sorted_literals(self, codes) -> tuple[int, ...]:
         return tuple(sorted(self._literals(codes), key=abs))
 
-    def load(self, clauses) -> None:
-        """Add one copy of each clause, a duplicate-free literal sequence; duplicate
-        clauses and the empty clause included (see _store)."""
-        code_of = self._code.__getitem__
-        self._store(([[*map(code_of, clause)][:] for clause in clauses],))  # a slice is allocated at its exact size
-
-    def _store(self, batches) -> None:
-        """Add one copy of each clause of each batch, a list of code lists from _code that the store keeps as they
+    def store(self, batches) -> None:
+        """Add one copy of each clause of each batch, a list of code lists from code that the store keeps as they
         are. An empty clause is only counted; any other copy propagates at once, and waits in _pending for _index."""
         watches, units, implied, pending = self._watches, self._units, self._implied, self._pending
         for batch in batches:
@@ -185,7 +182,7 @@ class CheckerState:
             present = self._empty_copies > 0
             self._empty_copies -= present
             return present
-        found = [*map(self._code.get, literals)]
+        found = [*map(self.code.get, literals)]
         if None in found:
             return False  # a variable never seen is in no clause, and gets no codes here
         key = tuple(sorted(found))
@@ -253,7 +250,7 @@ class CheckerState:
                 other = lits[0]
                 if other == falsified:
                     # swapping stored objects keeps the code lists sharing
-                    # the ints held in _code, where a fresh int would not
+                    # the ints held in code, where a fresh int would not
                     other = lits[1]
                     lits[0], lits[1] = other, lits[0]
                 if true[other]:
@@ -284,39 +281,40 @@ class CheckerState:
 
     # -- redundancy checks ---------------------------------------------------
 
-    def check_at(self, literals, _keep: bool = False) -> bool:
-        """Does propagating the clause's negation on top of the trail yield a
-        conflict? With _keep, a fixpoint without conflict stays on the trail.
-        Literals whose negation the trail already holds may be left out."""
-        code_of = self._code.__getitem__
-        return self._conflict([code_of(-lit) for lit in literals], _keep)
+    def check_at(self, codes, _keep: bool = False) -> bool:
+        """Does propagating the negation of the clause's codes on top of the
+        trail yield a conflict? With _keep, a fixpoint without conflict stays
+        on the trail. Codes whose negation the trail already holds may be left out."""
+        return self._conflict([code ^ 1 for code in codes], _keep)
 
-    def check_rat(self, literals):
-        """AT check of the literals as written, then resolvents on the first one.
+    def check_rat(self, codes):
+        """AT check of the clause's codes, in written order, then resolvents on the first one.
 
-        A resolvent holds the lemma, whose fixpoint stays on the trail, so its
-        check asserts only the candidate's extra literals; it is written out,
-        sorted by variable, only for a trace or a failure. Returns (ok, pivot,
-        failed_resolvent), the last two None unless the resolvent stage failed.
+        A resolvent holds the lemma, whose fixpoint stays on the trail, so its check asserts only the
+        candidate's extra codes. The lemma and a resolvent are written out as literals only for a trace or
+        a failure. Returns (ok, pivot, failed_resolvent), the pivot a literal and the last two None unless
+        the resolvent stage failed.
         """
-        if self.check_at(literals, _keep=True):
-            self._note("AT check passed for %s", literals)
+        traced = self.trace is not None
+        if self.check_at(codes, _keep=True):
+            if traced:
+                self._note("AT check passed for %s", self._literals(codes))
             return True, None, None
         try:
-            pivot = literals[0]
-            self._note("AT failed for %s; RAT check with pivot %d", literals, pivot)
-            code_of, literal = self._code.__getitem__, self._literal
-            own, negated = {*map(code_of, literals)}, code_of(-pivot)
-            for codes in self._occurrences()[negated]:
-                if any(code ^ 1 in own for code in codes if code != negated):
-                    if self.trace is not None:
-                        other = self._sorted_literals(codes)
+            own, negated = {*codes}, codes[0] ^ 1
+            pivot = self._literal[codes[0]]
+            if traced:
+                self._note("AT failed for %s; RAT check with pivot %d", self._literals(codes), pivot)
+            for candidate in self._occurrences()[negated]:
+                if any(code ^ 1 in own for code in candidate if code != negated):
+                    if traced:
+                        other = self._sorted_literals(candidate)
                         self._note("resolvent with %s is a tautology, trivially redundant", other)
                     continue
-                passed = self.check_at([literal[code] for code in codes if code != negated and code not in own])
-                if passed and self.trace is None:
+                passed = self.check_at([code for code in candidate if code != negated and code not in own])
+                if passed and not traced:
                     continue
-                other = self._sorted_literals(codes)
+                literals, other = self._literals(codes), self._sorted_literals(candidate)
                 resolvent = (*literals, *(lit for lit in other if lit != -pivot and lit not in literals))
                 self._note("resolvent %s (with %s): AT %s", resolvent, other, "passed" if passed else "failed")
                 if not passed:
@@ -328,14 +326,15 @@ class CheckerState:
     # -- proof steps -----------------------------------------------------------
 
     def apply_add(self, literals, step: int) -> CheckReport | None:
-        """Check and add one clause, its literals as written; on failure
-        returns the rejecting report instead."""
-        if not literals:
-            if not self.check_at(()):
+        """Check and add one clause, its literals as written, mapped to codes once; on
+        failure returns the rejecting report instead."""
+        codes = [*map(self.code.__getitem__, literals)][:]  # a slice is allocated at its exact size
+        if not codes:
+            if not self.check_at(codes):
                 return CheckReport(REJECTED, step=step, reason="empty clause not AT", clause=())
             self._note("empty clause has AT")
         else:
-            ok, pivot, resolvent = self.check_rat(literals)
+            ok, pivot, resolvent = self.check_rat(codes)
             if not ok:
                 return CheckReport(
                     REJECTED,
@@ -345,7 +344,7 @@ class CheckerState:
                     pivot=pivot,
                     failed_resolvent=resolvent,
                 )
-        self.load((literals,))
+        self.store(([codes],))
         return None
 
     def apply_delete(self, literals, step: int) -> DeletionWarning | None:
@@ -364,12 +363,6 @@ class CheckerState:
             else:
                 self._note("delete %s: removed one copy", literals)
         return None
-
-    def clause_counts(self) -> dict[tuple[int, ...], int]:
-        """Copies of each clause, its literals sorted by variable."""
-        extra = self._surplus.get
-        counts = {self._sorted_literals(codes): 1 + extra(id(codes), 0) for codes in self._index().values()}
-        return {(): self._empty_copies, **counts} if self._empty_copies else counts
 
     def _note(self, message: str, *args) -> None:
         """Trace message % args, with tuple and list args written as clauses;
@@ -415,8 +408,8 @@ def check_proof(clauses, records, trace=None) -> CheckReport:
     """Replay (delete, literals) records against a formula's clauses, each a
     literal sequence, with forward checking (see check_records). Either may
     be built by hand, so each clause and record gets the readers' checks
-    (see checked_clause); the clauses are then loaded into a fresh
-    CheckerState, as the command line loads a formula's, and only read."""
+    (see checked_clause); the clauses are then mapped to codes as one batch for
+    a fresh CheckerState's store, as the command line stores a formula's, and only read."""
     state = CheckerState()
-    state.load(map(checked_clause, clauses))
+    state.store(([[*map(state.code.__getitem__, clause)][:] for clause in map(checked_clause, clauses)],))
     return check_records(state, checked_records(records), trace)

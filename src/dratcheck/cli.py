@@ -42,7 +42,7 @@ def run_check(args) -> int:
         # the clauses go into the checker's store as they are read, block by block, as slices of codes
         state = checker.CheckerState()
         with open(args.formula, "rb") as handle:
-            state._store(dimacs.clause_records(handle, state._code))
+            state.store(dimacs.clause_records(handle, state.code))
     except (OSError, dimacs.DimacsError) as exc:
         print("c error: %s: %s" % (args.formula, exc))
         return 2

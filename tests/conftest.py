@@ -51,31 +51,51 @@ def paper_proof():
 
 # -- one-call checks and a DIMACS writer over a clause list -----------------
 
+def codes_of(state, literals):
+    """The state's codes of the literals, in order; a variable not yet seen gets its codes."""
+    return [*map(state.code.__getitem__, literals)]
+
+
+def load(state, clauses):
+    """Store one copy of each literal sequence, as check_proof stores a formula: one batch of exact-size code lists."""
+    state.store(([codes_of(state, clause)[:] for clause in clauses],))
+
+
 def loaded(clauses):
-    """A fresh checker state holding one copy of each clause, as check_proof loads them."""
+    """A fresh checker state holding one copy of each clause, as check_proof stores them."""
     state = CheckerState()
-    state.load(clauses)
+    load(state, clauses)
     return state
 
 
 def canonical(literals):
-    """A clause as CheckerState.clause_counts keys it: its literals sorted by variable."""
+    """A clause as clause_counts keys it: its literals sorted by variable."""
     return tuple(sorted(literals, key=abs))
+
+
+def clause_counts(state):
+    """Copies of each clause in the state's store, keyed by its literals sorted by variable."""
+    extra = state._surplus.get
+    counts = {state._sorted_literals(codes): 1 + extra(id(codes), 0) for codes in state._index().values()}
+    return {(): state._empty_copies, **counts} if state._empty_copies else counts
 
 
 def propagate(clauses, assumptions=()):
     """Unit propagation on clauses under assumptions; True means conflict."""
-    return loaded(clauses).check_at([-lit for lit in assumptions])
+    state = loaded(clauses)
+    return state.check_at(codes_of(state, [-lit for lit in assumptions]))
 
 
 def check_at(clauses, literals):
     """Asymmetric tautology test for a duplicate-free, non-tautological clause."""
-    return loaded(clauses).check_at(tuple(literals))
+    state = loaded(clauses)
+    return state.check_at(codes_of(state, literals))
 
 
 def check_rat(clauses, literals):
     """Resolution asymmetric tautology test; the pivot is the first written literal."""
-    ok, _, _ = loaded(clauses).check_rat(literals)
+    state = loaded(clauses)
+    ok, _, _ = state.check_rat(codes_of(state, literals))
     return ok
 
 

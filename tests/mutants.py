@@ -80,8 +80,14 @@ MUTANTS = [
     ("units not asserted", CHECKER,
      "for code in assumed if start else assumed + self._units:", "for code in assumed:", None),
     # the RAT stage
-    ("no tautology skip", CHECKER, "if any(code ^ 1 in own for code in codes if code != negated):", "if False:", None),
-    ("the pivot is the last literal", CHECKER, "pivot = literals[0]", "pivot = literals[-1]", None),
+    ("no tautology skip", CHECKER, "if any(code ^ 1 in own for code in candidate if code != negated):", "if False:",
+     None),
+    ("the pivot is the last literal", CHECKER,
+     "own, negated = {*codes}, codes[0] ^ 1\n            pivot = self._literal[codes[0]]",
+     "own, negated = {*codes}, codes[-1] ^ 1\n            pivot = self._literal[codes[-1]]", None),
+    ("the negated pivot asserted with a resolvent", CHECKER,
+     "[code for code in candidate if code != negated and code not in own]",
+     "[code for code in candidate if code not in own]", None),
     ("the lemma's fixpoint left on the trail", CHECKER, "            self._undo(0)", "            pass", None),
     # deletion and the index
     ("unit deletions applied", CHECKER, "        if len(literals) == 1:\n            self._note(",

@@ -35,6 +35,8 @@ from conftest import (
     PAPER_CLAUSES,
     PAPER_FORMULA,
     PAPER_PROOF,
+    clause_counts,
+    codes_of,
     loaded,
     random_clause_list,
     random_clause_lits,
@@ -193,7 +195,8 @@ def test_criterion_06_rat_additions_preserve_satisfiability():
         assert attempts < 50_000
         clauses = random_clause_list(rng, rng.randint(1, 10), max_var=8, min_len=1, max_len=3)
         candidate = random_clause_lits(rng, max_var=8, min_len=1, max_len=3)
-        ok, _, _ = loaded(clauses).check_rat(candidate)
+        state = loaded(clauses)
+        ok, _, _ = state.check_rat(codes_of(state, candidate))
         if not ok:
             continue
         if not brute_force_sat(clauses).satisfiable:
@@ -211,7 +214,8 @@ def test_criterion_07_differential_propagation():
         for _ in range(4):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
-            assert state.check_at([-lit for lit in assumptions]) == propagate_naive(clauses, assumptions)
+            negated = codes_of(state, [-lit for lit in assumptions])
+            assert state.check_at(negated) == propagate_naive(clauses, assumptions)
             instances += 1
 
 
@@ -219,14 +223,14 @@ def test_criterion_08_deletion_warning_semantics():
     formula = PAPER_CLAUSES + [(3,)]
 
     state = loaded(formula)
-    before = state.clause_counts()
+    before = clause_counts(state)
     warning = state.apply_delete([1, 2, 4], 1)
     assert warning is not None and warning.kind == WARN_DELETED_MISSING
-    assert state.clause_counts() == before
+    assert clause_counts(state) == before
 
     warning = state.apply_delete([3], 2)
     assert warning is not None and warning.kind == WARN_UNIT_DELETION
-    assert state.clause_counts() == before
+    assert clause_counts(state) == before
 
     # verdicts are unaffected: the golden proof with both odd deletions in
     # front still verifies and yields exactly one warning of each kind

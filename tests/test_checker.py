@@ -26,6 +26,9 @@ from conftest import (
     canonical,
     check_at,
     check_rat,
+    clause_counts,
+    codes_of,
+    load,
     loaded,
     long_replay_case,
     propagate,
@@ -62,11 +65,11 @@ def test_propagate_contradictory_assumptions_count_as_conflict():
 
 def test_propagate_restores_state():
     state = loaded(PAPER_CLAUSES)
-    assert state.check_at([-1, 2, -3]) is True
+    assert state.check_at(codes_of(state, [-1, 2, -3])) is True
     assert state._trail == []
     assert all(v == 0 for v in state._true)
     # and the same state answers again identically
-    assert state.check_at([-1, 2, -3]) is True
+    assert state.check_at(codes_of(state, [-1, 2, -3])) is True
     assert state.check_at([]) is False
 
 
@@ -99,7 +102,8 @@ def test_watched_and_naive_propagation_agree_on_random_inputs():
         for _ in range(3):
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, 9), rng.randint(0, 4))]
-            assert state.check_at([-lit for lit in assumptions]) == propagate_naive(clauses, assumptions)
+            negated = codes_of(state, [-lit for lit in assumptions])
+            assert state.check_at(negated) == propagate_naive(clauses, assumptions)
 
 
 # -- AT / RAT -----------------------------------------------------------------
@@ -160,7 +164,7 @@ def test_check_rat_agrees_with_slow_path_on_random_inputs():
 def test_apply_add_extends_the_formula():
     state = loaded(PAPER_CLAUSES)
     assert state.apply_add([-1], 1) is None
-    assert state.clause_counts().get((-1,), 0) == 1
+    assert clause_counts(state).get((-1,), 0) == 1
 
 
 def test_apply_add_accepts_empty_clause_on_conflicting_formula():
@@ -173,7 +177,7 @@ def test_apply_add_rejects_empty_clause_without_conflict():
     rejection = state.apply_add([], 1)
     assert rejection is not None
     assert rejection.reason == "empty clause not AT"
-    assert state.clause_counts().get((), 0) == 0
+    assert clause_counts(state).get((), 0) == 0
 
 
 def test_apply_add_rejects_non_rat_clause():
@@ -187,34 +191,34 @@ def test_apply_add_rejects_non_rat_clause():
     assert rejection.reason == "RAT check failed"
     assert rejection.pivot == 1
     assert rejection.failed_resolvent == (1,)
-    assert state.clause_counts().get((1,), 0) == 0
+    assert clause_counts(state).get((1,), 0) == 0
 
 
 def test_apply_delete_removes_one_copy():
     state = loaded([[1, 2], [1, 2], [3, 4]])
     assert state.apply_delete([2, 1], 1) is None
-    assert state.clause_counts().get((1, 2), 0) == 1
+    assert clause_counts(state).get((1, 2), 0) == 1
     assert state.apply_delete([1, 2], 2) is None
-    assert state.clause_counts().get((1, 2), 0) == 0
+    assert clause_counts(state).get((1, 2), 0) == 0
 
 
 def test_apply_delete_missing_clause_warns_and_keeps_formula():
     state = loaded(PAPER_CLAUSES)
-    before = state.clause_counts()
+    before = clause_counts(state)
     warning = state.apply_delete([1, 4], 3)
     assert warning is not None
     assert warning.kind == WARN_DELETED_MISSING
     assert warning.step == 3
-    assert state.clause_counts() == before
+    assert clause_counts(state) == before
 
 
 def test_apply_delete_unit_clause_is_ignored_with_warning():
     state = loaded([[5], [1, 2]])
-    before = state.clause_counts()
+    before = clause_counts(state)
     warning = state.apply_delete([5], 2)
     assert warning is not None
     assert warning.kind == WARN_UNIT_DELETION
-    assert state.clause_counts() == before
+    assert clause_counts(state) == before
 
 
 def test_deletion_by_canonical_form_is_flagged_in_the_trace(paper_formula):
@@ -231,11 +235,11 @@ def test_deletion_by_canonical_form_is_flagged_in_the_trace(paper_formula):
 def test_delete_then_re_add_restores_the_multiset():
     # the re-added clause passes its RAT check vacuously: nothing contains -1
     state = loaded([[3, 4], [1, 2], [-3, 4]])
-    before = state.clause_counts()
+    before = clause_counts(state)
     assert state.apply_delete([1, 2], 1) is None
-    assert state.clause_counts() != before
+    assert clause_counts(state) != before
     assert state.apply_add([1, 2], 2) is None
-    assert state.clause_counts() == before
+    assert clause_counts(state) == before
 
 
 # -- whole proofs -------------------------------------------------------------
@@ -502,7 +506,7 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
             key = canonical(clause)
             naive[key] = naive.get(key, 0) + 1
         gone = set()
-        assert state.clause_counts() == naive
+        assert clause_counts(state) == naive
         for number, (kind, lits) in enumerate(steps, start=1):
             key = canonical(lits)
             present = naive.get(key, 0)
@@ -521,7 +525,7 @@ def test_copy_counts_follow_a_naive_multiset_step_by_step():
                 seen["re-added"] += key in gone and not present
                 naive[key] = present + 1
             seen["empty copies"] += not key and naive.get(key, 0) != present
-            assert state.clause_counts() == naive, (clauses, steps, number)
+            assert clause_counts(state) == naive, (clauses, steps, number)
     assert min(seen.values()) >= 20, seen
 
 
@@ -621,26 +625,36 @@ def test_check_at_runs_once_per_lemma_and_once_per_resolvent_check(monkeypatch):
 
 
 def test_an_untraced_rat_stage_sorts_only_a_failing_resolvent(monkeypatch):
-    sorted_for = []
-    original = CheckerState._sorted_literals
+    # the lemma and its candidates are checked as codes; only a failing
+    # resolvent writes the lemma and the candidate out as literals
+    sorted_for, written_for = [], []
+    original_sorted, original_literals = CheckerState._sorted_literals, CheckerState._literals
 
     def recorded(self, codes):
-        sorted_for.append(original(self, codes))
+        sorted_for.append(original_sorted(self, codes))
         return sorted_for[-1]
 
+    def written(self, codes):
+        written_for.append(original_literals(self, codes))
+        return written_for[-1]
+
     monkeypatch.setattr(CheckerState, "_sorted_literals", recorded)
+    monkeypatch.setattr(CheckerState, "_literals", written)
     rng = random.Random(67)
     rejections = 0
     for _ in range(300):
         clauses, steps = rat_replay_case(rng)
         proof = [(kind == "d", list(lits)) for kind, lits in steps]
         sorted_for.clear()
+        written_for.clear()
         report = check_proof(clauses, proof)
         if report.failed_resolvent is None:
-            assert sorted_for == [], (clauses, steps)
+            assert sorted_for == [] and written_for == [], (clauses, steps)
         else:
-            # the failing candidate, and the resolvent written from it
+            # the failing candidate, and the resolvent written from it and the lemma
             (other,) = sorted_for
+            lemma, candidate = written_for
+            assert lemma == report.clause and canonical(candidate) == other
             assert set(report.failed_resolvent) == set(report.clause) | set(other) - {-report.pivot}
             rejections += 1
     assert rejections >= 50, rejections
@@ -754,39 +768,39 @@ def test_clauses_of_three_or_more_literals_give_no_code_an_implication_list():
     rng = random.Random(101)
     clauses = random_clause_list(rng, 3000, max_var=2000, min_len=3, max_len=5)
     state = CheckerState()
-    state.load(clauses)
-    state.check_rat([-lit for lit in clauses[1]])  # propagates, then builds the occurrence lists
+    load(state, clauses)
+    state.check_rat(codes_of(state, [-lit for lit in clauses[1]]))  # propagates, then builds the occurrence lists
     assert state._occurs is not None
     # one shared empty tuple, not a list per code
     assert state._implied[0] == () and len(state._implied) == len(state._true) > 3000
     assert all(others is state._implied[0] for others in state._implied)
-    state.load([(clauses[0][0], -clauses[0][1])])
+    load(state, [(clauses[0][0], -clauses[0][1])])
     assert sum(type(others) is list for others in state._implied) == 2
 
 
 def test_each_signed_literal_is_one_int_object_in_the_code_map_and_the_literal_list():
     # variables above 256, so that no literal is one of CPython's cached small ints
     state = CheckerState()
-    state.load([[1000, -2000], [-3000, 4000, 1000]])
+    load(state, [[1000, -2000], [-3000, 4000, 1000]])
     # beside the literals, the map holds the readers' clause terminator 0, which maps to no code
-    assert len(state._code) == len(state._literal) + 1 == 9 and state._code[0] is None
-    assert all(state._literal[code] is literal for literal, code in state._code.items() if literal)
+    assert len(state.code) == len(state._literal) + 1 == 9 and state.code[0] is None
+    assert all(state._literal[code] is literal for literal, code in state.code.items() if literal)
     assert sorted(state._literal, key=abs) == [1000, -1000, 2000, -2000, 3000, -3000, 4000, -4000]
 
 
 def test_a_deleted_binary_clause_implies_nothing_afterwards():
     state = loaded_state("p cnf 3 4\n-1 2 0\n2 -1 0\n-2 3 0\n1 2 3 0\n")
-    assert state.check_at([-1, 3])
+    assert state.check_at(codes_of(state, [-1, 3]))
     assert state.apply_delete([2, -1], 1) is None
-    assert state.check_at([-1, 3])  # one copy is left
+    assert state.check_at(codes_of(state, [-1, 3]))  # one copy is left
     assert state.apply_delete([-1, 2], 2) is None
     assert_store_invariants(state)
     literal = state._literal
     pairs = {(literal[code], literal[other]) for code, others in enumerate(state._implied) for other in others}
     assert pairs == {(-2, 3), (3, -2)}
-    assert not state.check_at([-1, 3])
-    assert not state.check_at([-1], _keep=True)
-    true, code = state._true, state._code
+    assert not state.check_at(codes_of(state, [-1, 3]))
+    assert not state.check_at(codes_of(state, [-1]), _keep=True)
+    true, code = state._true, state.code
     assert true[code[1]] == 1 and true[code[-1]] == 0
     assert true[code[2]] == true[code[-2]] == 0  # variable 2 is unassigned: neither of its codes is marked
     state._undo(0)
@@ -802,7 +816,7 @@ def test_a_kept_fixpoint_marks_exactly_the_codes_on_its_trail():
         state = loaded(clauses)
         assumed = random_clause_lits(rng, max_var=9, min_len=0, max_len=3)
         true, trail = state._true, state._trail
-        if state.check_at(assumed, _keep=True):
+        if state.check_at(codes_of(state, assumed), _keep=True):
             assert trail == [] and not any(true)
             continue
         assert sorted(trail) == sorted(code for code, mark in enumerate(true) if mark), (clauses, assumed)
@@ -830,7 +844,7 @@ def test_store_invariants_hold_after_every_step():
                 applied.append((kind, lits))
             assert_store_invariants(state)
             live = naive_store(clauses, applied)
-            counts = state.clause_counts()
+            counts = clause_counts(state)
             assert state._pending == []
             assert_store_invariants(state)
             counts.pop((), None)
@@ -870,16 +884,17 @@ def test_each_deletion_of_a_merged_clause_removes_one_copy():
     step = 0
     for clause, copies in (((-1, 2), 2), ((-2, 3, 4), 3)):
         for _ in range(copies):
-            assert state.check_at(clause)  # a copy is left to propagate through
+            assert state.check_at(codes_of(state, clause))  # a copy is left to propagate through
             step += 1
             assert state.apply_delete(clause[::-1], step) is None
             assert state._pending == []
             assert_store_invariants(state)
-        assert not state.check_at(clause)
+        assert not state.check_at(codes_of(state, clause))
         step += 1
         assert state.apply_delete(clause, step).kind == WARN_DELETED_MISSING
-    assert state._units == [state._code[5]] * 2 and state.check_at((5,))  # both copies of (5,) stay asserted
-    assert state.clause_counts() == {(5,): 2}
+    # both copies of (5,) stay asserted
+    assert state._units == [state.code[5]] * 2 and state.check_at(codes_of(state, (5,)))
+    assert clause_counts(state) == {(5,): 2}
 
 
 def test_a_duplicated_rat_candidate_merged_mid_trail_gives_one_resolvent_line(monkeypatch, tmp_path, capsys):
@@ -910,14 +925,14 @@ def test_equal_copies_swapped_apart_by_a_conflict_merge_by_identity():
     state = loaded([(1, 2, 3), (2, 1, 3)])
     first, second = state._pending
     assert first != second
-    assert state.check_at((1, 2, 3))
+    assert state.check_at(codes_of(state, (1, 2, 3)))
     assert first == second and first is not second
     assert_store_invariants(state)
-    assert state.clause_counts() == {(1, 2, 3): 2}
+    assert clause_counts(state) == {(1, 2, 3): 2}
     assert_store_invariants(state)
     assert [*state._ids.values()] == [first] and state._ids[tuple(sorted(first))] is first
-    assert state.apply_delete([3, 2, 1], 1) is None and state.check_at((1, 2, 3))
-    assert state.apply_delete([2, 1, 3], 2) is None and not state.check_at((1, 2, 3))
+    assert state.apply_delete([3, 2, 1], 1) is None and state.check_at(codes_of(state, (1, 2, 3)))
+    assert state.apply_delete([2, 1, 3], 2) is None and not state.check_at(codes_of(state, (1, 2, 3)))
     assert_store_invariants(state)
 
 
@@ -927,7 +942,7 @@ def test_equal_copies_swapped_apart_by_a_conflict_merge_by_identity():
 def loaded_state(text):
     """The state the command line checks against."""
     state = CheckerState()
-    state.load(clause_records(text))
+    load(state, clause_records(text))
     return state
 
 
@@ -946,7 +961,7 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
         text = write_dimacs(clauses)
         assert parse_dimacs(text) == [list(clause) for clause in clauses]
         by_variable, written = loaded(map(canonical, clauses)), loaded_state(text)
-        assert written.clause_counts() == by_variable.clause_counts() == naive_store(clauses, ())
+        assert clause_counts(written) == clause_counts(by_variable) == naive_store(clauses, ())
         records = [(kind == "d", lits) for kind, lits in steps]
         report = checker_module.check_records(loaded_state(text), records)
         assert report == check_proof(parse_dimacs(text), records)
@@ -955,7 +970,7 @@ def test_loaded_store_equals_the_formula_store_step_by_step():
             outcomes = [(state.apply_delete if delete else state.apply_add)(lits, number)
                         for state in (by_variable, written)]
             assert outcomes[0] == outcomes[1], (clauses, steps, number)
-            assert written.clause_counts() == by_variable.clause_counts(), (clauses, steps, number)
+            assert clause_counts(written) == clause_counts(by_variable), (clauses, steps, number)
             seen["deleted copy"] += delete and outcomes[0] is None
     assert min(seen.values()) >= 20, seen
 
@@ -964,9 +979,9 @@ def test_a_clause_is_stored_as_written_and_keyed_by_its_sorted_codes():
     state = loaded_state("p cnf 3 2\n3 -1 2 0\n-1 2 0\n")
     (key, codes), _ = state._index().items()
     assert state._literals(codes) == (3, -1, 2) and key == tuple(sorted(codes))
-    assert state.clause_counts() == {(-1, 2, 3): 1, (-1, 2): 1}
+    assert clause_counts(state) == {(-1, 2, 3): 1, (-1, 2): 1}
     assert state.apply_delete([2, 3, -1], 1) is None
-    assert state.clause_counts() == {(-1, 2): 1}
+    assert clause_counts(state) == {(-1, 2): 1}
 
 
 def test_a_rejected_clause_and_a_warning_hold_the_literals_as_written():
@@ -1011,7 +1026,7 @@ def test_deleting_a_clause_with_an_unseen_variable_creates_no_variable():
         warning = state.apply_delete(lits, number)
         assert warning is not None and warning.kind == WARN_DELETED_MISSING
     assert len(state._true) == variables
-    assert state.clause_counts() == {(1, 2): 1, (-2, 3): 1}
+    assert clause_counts(state) == {(1, 2): 1, (-2, 3): 1}
     assert trace[0] == "delete (1 4): not in formula, ignored"
 
 

@@ -22,6 +22,7 @@ from conftest import (
     PAPER_FORMULA,
     PAPER_PROOF,
     canonical,
+    clause_counts,
     refutation_steps,
     write_dimacs,
 )
@@ -189,10 +190,10 @@ def test_an_internal_value_error_while_loading_the_formula_is_not_reported_as_a_
     paper_files, monkeypatch, capsys
 ):
     # only a DimacsError or an OSError is the formula's fault; anything else is a bug and propagates
-    def fail(self, clauses):
+    def fail(self, batches):
         raise ValueError("internal")
 
-    monkeypatch.setattr(checker.CheckerState, "load", fail)
+    monkeypatch.setattr(checker.CheckerState, "store", fail)
     formula, proof = paper_files
     with pytest.raises(ValueError, match="internal"):
         main(["check", str(formula), str(proof)])
@@ -227,7 +228,7 @@ def test_check_builds_no_formula_and_stores_only_the_memo_codes(tmp_path, monkey
     assert main(["check", str(formula), str(proof)]) == 1
     (state,) = states
     assert type(state) is checker.CheckerState and len(state._true) == 600
-    memo = {id(code) for code in state._code.values()}
+    memo = {id(code) for code in state.code.values()}
     ids = state._index()
     held = [code for key in ids for code in key]
     held += [code for codes in ids.values() for code in codes]
@@ -270,7 +271,7 @@ def test_a_check_that_never_deletes_builds_no_deletion_index(tmp_path, monkeypat
     assert len(states[-1]._ids) == len(PAPER_CLAUSES) + 1
     counts = Counter(map(canonical, [*clauses, *lemmas]))
     counts[canonical(PAPER_CLAUSES[2])] -= 1
-    assert states[-1].clause_counts() == counts
+    assert clause_counts(states[-1]) == counts
 
 
 def test_check_missing_file_exits_2(tmp_path, capsys):

@@ -25,6 +25,8 @@ from dratcheck.proofio import (
     serialize_plain,
 )
 
+from conftest import load
+
 DIMACS_CASES = [
     # header
     (b"1 2 0\n", DimacsError, "expected 'p cnf' header before clauses", 1, 0),
@@ -130,7 +132,7 @@ def _raised(parse, data):
 
 def load_into_the_checker(data):
     """The command line's formula reader, which parse_dimacs reads into a list."""
-    CheckerState().load(clause_records(data))
+    load(CheckerState(), clause_records(data))
 
 
 @pytest.mark.parametrize("data,error,message,line,offset", DIMACS_CASES)

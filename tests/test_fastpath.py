@@ -102,7 +102,7 @@ def test_each_edge_block_reads_alike_on_both_paths(name, formula, proof):
 
 def _stored(data):
     state = CheckerState()
-    state._store(clause_records(data, state._code))
+    state.store(clause_records(data, state.code))
     return state
 
 
@@ -113,7 +113,7 @@ def assert_the_formula_path_agrees(data):
         assert got == expected, data[:200]
     else:
         loaded = CheckerState()
-        loaded.load(expected)
+        conftest.load(loaded, expected)
         _same_store(got, loaded)
 
 
@@ -193,8 +193,8 @@ def test_the_formula_path_stores_what_load_stores(drawn, size, data):
         if size:
             patch.setattr(lexer, "BLOCK_BYTES", size)
         stored, loaded = CheckerState(), CheckerState()
-        stored._store(clause_records(formula, stored._code))
-        loaded.load(parse_dimacs(formula))
+        stored.store(clause_records(formula, stored.code))
+        conftest.load(loaded, parse_dimacs(formula))
     _same_store(stored, loaded)
     assert_store_invariants(stored)
     # each stored copy is a list of exactly its size, as load allocates it
@@ -208,8 +208,8 @@ def test_a_clause_over_many_runs_is_stored_as_codes(monkeypatch):
     monkeypatch.setattr(lexer, "BLOCK_BYTES", 4)
     formula = b"p cnf 300 2\n" + b"\n".join(b"%d" % v for v in range(1, 301)) + b"\n0\n300 -299 0\n"
     stored, loaded = CheckerState(), CheckerState()
-    stored._store(clause_records(formula, stored._code))
-    loaded.load(parse_dimacs(formula))
+    stored.store(clause_records(formula, stored.code))
+    conftest.load(loaded, parse_dimacs(formula))
     _same_store(stored, loaded)
     assert stored._pending[0] == [2 * k for k in range(300)]
 

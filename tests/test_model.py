@@ -12,7 +12,7 @@ from dratcheck.model import (
     Formula,
 )
 
-from conftest import loaded
+from conftest import clause_counts, load, loaded
 
 
 def test_formula_multiset_add_and_remove():
@@ -30,9 +30,9 @@ def test_formula_multiset_add_and_remove():
 def test_equal_clause_multisets_load_to_equal_clause_counts():
     left = loaded([[1, 2], [1, 2], [-3]])
     right = loaded([[2, 1], [-3], [1, 2]])
-    assert left.clause_counts() == right.clause_counts() == {(1, 2): 2, (-3,): 1}
-    right.load([(1, 2)])
-    assert left.clause_counts() != right.clause_counts()
+    assert clause_counts(left) == clause_counts(right) == {(1, 2): 2, (-3,): 1}
+    load(right, [(1, 2)])
+    assert clause_counts(left) != clause_counts(right)
 
 
 def test_occurrence_index_tracks_every_mutation():

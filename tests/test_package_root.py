@@ -1,6 +1,8 @@
 """Each public name's module, the package root that binds none, the exception
-classes each module defines, and the README's library example."""
+classes each module defines, the command line's use of public names only,
+and the README's library example."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -76,6 +78,17 @@ def test_each_module_defines_only_its_listed_exception_classes():
             if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
         )
         assert defined == ERROR_CLASSES.get(info.name, []), info.name
+
+
+def test_the_command_line_reads_no_private_attribute_of_another_object():
+    # cli.py is a client of the other modules: it reaches the checker's store through public names
+    source = Path(dratcheck.__file__).with_name("cli.py").read_text()
+    private = sorted(
+        {node.attr for node in ast.walk(ast.parse(source))
+         if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+         and not (isinstance(node.value, ast.Name) and node.value.id == "self")}
+    )
+    assert private == []
 
 
 def test_readme_library_example_runs_on_the_worked_example(tmp_path, monkeypatch, capsys):

@@ -24,6 +24,7 @@ from dratcheck.dimacs import DimacsError, clause_records, parse_dimacs
 from dratcheck.proofio import (ProofError, binary_records, parse_binary_proof, parse_plain_proof, plain_records,
                                serialize_binary)
 
+from conftest import load
 from test_errors import BINARY_CASES, DIMACS_CASES, PROOF_CASES
 
 SIZES = [1, 2, 3, 7]
@@ -279,19 +280,19 @@ def _read_to_error(records):
 
 def _stored(data):
     state = CheckerState()
-    state._store(clause_records(data, state._code))
+    state.store(clause_records(data, state.code))
     assert len(state._units) == data.count(b"\n") - 1
 
 
 def _units_twice_then_a_deletion(clauses):
     state = CheckerState()
-    state.load(clauses)
+    load(state, clauses)
     assert state.apply_delete([1, 2], 1) is not None  # the first deletion merges every second copy, and warns
 
 
 def _copies_then_a_deletion(clauses):
     state = CheckerState()
-    state.load(clauses)
+    load(state, clauses)
     state.apply_delete([1, 2], 1)  # the first deletion merges every second copy
 
 
